@@ -14,13 +14,15 @@ ci: lint build race
 vet:
 	$(GO) vet ./...
 
-# lint runs go vet plus the project's own analyzers (determinism,
-# specstring, conservation, sinkerr, the flow-sensitive isolation and
-# lineaddr checks, the summary-based hotalloc and ctxlease checks, and the
-# static race pair sharedmut + wgdiscipline).
+# lint runs go vet, gofmt (any file it would rewrite is a finding) and the
+# project's own analyzers (determinism, specstring, conservation, sinkerr,
+# the flow-sensitive isolation and lineaddr checks, the summary-based
+# hotalloc and ctxlease checks, and the static race pair sharedmut +
+# wgdiscipline).
 # The tree must stay at zero findings; suppress a justified exception with
 # //lint:allow <analyzer> -- <reason>; `divlint -audit` reports stale ones.
 lint: vet
+	test -z "$$(gofmt -l . | tee /dev/stderr)"
 	$(GO) run ./cmd/divlint ./...
 
 build:
@@ -58,8 +60,12 @@ bench-json:
 	$(GO) run ./cmd/benchjson -label $(LABEL) -o $(BENCH_OUT)
 	$(GO) run ./cmd/benchjson -validate $(BENCH_OUT)
 
-# fuzz smoke-tests the spec-string grammar: no panics, normalized names are
-# fixed points. Each target gets a short budget; CI runs the same.
+# fuzz smoke-tests the spec-string grammar (no panics, normalized names are
+# fixed points) and the store's two readers: the record decoder and the
+# result decoder, each held to encoding/json. Each target gets a short
+# budget; CI runs the same.
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzByName -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzSpecNormalize -fuzztime 10s
+	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzDecodeResults -fuzztime 10s
+	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecode -fuzztime 10s

@@ -28,17 +28,17 @@ func (*Greedy) StorageBits() int { return 0 }
 func (g *Greedy) OnAccess(ev *mem.Event, issue prefetch.Issuer) {
 	addr := ev.LineAddr.Addr()
 
-	m := make(map[uint64]int, 4)            // want "make allocates"
-	p := new(uint64)                        // want "new allocates"
-	g.history = append(g.history, addr)     // want "append may grow its backing array"
-	e := &entry{addr: addr}                 // want "&composite literal escapes to the heap"
-	table := map[uint64]int{addr: 1}        // want "map literal allocates"
-	window := []uint64{addr, addr + 1}      // want "slice literal allocates its backing array"
-	consume(addr)                           // want "interface boxing of uint64 argument"
-	fn := func() uint64 { return addr }     // want "closure capturing \"addr\" allocates"
-	g.note = string(g.raw)                  // want "string conversion copies the slice"
-	g.raw = []byte(g.note)                  // want "byte/rune slice conversion copies the string"
-	g.counts[addr]++                        // want "map write may allocate"
+	m := make(map[uint64]int, 4)        // want "make allocates"
+	p := new(uint64)                    // want "new allocates"
+	g.history = append(g.history, addr) // want "append may grow its backing array"
+	e := &entry{addr: addr}             // want "&composite literal escapes to the heap"
+	table := map[uint64]int{addr: 1}    // want "map literal allocates"
+	window := []uint64{addr, addr + 1}  // want "slice literal allocates its backing array"
+	consume(addr)                       // want "interface boxing of uint64 argument"
+	fn := func() uint64 { return addr } // want "closure capturing \"addr\" allocates"
+	g.note = string(g.raw)              // want "string conversion copies the slice"
+	g.raw = []byte(g.note)              // want "byte/rune slice conversion copies the string"
+	g.counts[addr]++                    // want "map write may allocate"
 	deeper(addr)
 
 	_ = m
@@ -50,8 +50,8 @@ func (g *Greedy) OnAccess(ev *mem.Event, issue prefetch.Issuer) {
 
 	// Negatives: pointer-shaped values box for free, capture-free literals
 	// are static, struct values build in place, arrays index without hashing.
-	consume(ev)                   // ok: pointer argument needs no box
-	consume(g.counts)             // ok: maps are pointer-shaped
+	consume(ev)                       // ok: pointer argument needs no box
+	consume(g.counts)                 // ok: maps are pointer-shaped
 	hop := func() uint64 { return 0 } // ok: captures nothing
 	_ = hop
 	v := entry{addr: addr} // ok: struct value, no & escape

@@ -66,10 +66,10 @@ const (
 	flagDirty
 	flagPrefetched // installed by a prefetch and not yet demanded
 
-	metaFlagMask  uint64 = 1<<metaOwnerShift - 1
-	metaOwnerShift       = 3
-	metaUseShift         = 19
-	metaOwnerMask uint64 = 1<<(metaUseShift-metaOwnerShift) - 1
+	metaFlagMask   uint64 = 1<<metaOwnerShift - 1
+	metaOwnerShift        = 3
+	metaUseShift          = 19
+	metaOwnerMask  uint64 = 1<<(metaUseShift-metaOwnerShift) - 1
 )
 
 // metaWord assembles a packed metadata word.
@@ -111,7 +111,7 @@ type Cache struct {
 	// staleness is harmless): spatial streams touch the same line for
 	// several consecutive accesses, and the predictor turns those resident
 	// scans into a single tag compare.
-	mru     []uint8
+	mru []uint8
 	// absent memoizes proven misses: absent[absentHash(L)] == L means a
 	// full set scan found L not resident, and evictions only remove lines,
 	// so absence persists until a Fill of L clobbers the slot. Miss-heavy

@@ -83,8 +83,8 @@ func (r Result) IPC() float64 {
 // Core is the analytical OoO model. The zero value is not usable; construct
 // with New.
 type Core struct {
-	p   Params
-	mem MemPort
+	p    Params
+	mem  MemPort
 	hook InstHook
 	// regReady is indexed by trace.Reg (uint8); sizing it to the full byte
 	// range makes every Src1/Src2/Dst index provably in bounds. Only the low
@@ -93,11 +93,11 @@ type Core struct {
 	// ring holds fetch and retire times of inst i (mod ROB) as one slot so
 	// each instruction's state lands on one cache line: every Step reads both
 	// words of the trailing slot and rewrites both words of the current one.
-	ring []ringSlot
-	n        uint64   // instructions processed
-	slot     int      // n % ROB, maintained incrementally
-	minFetch uint64   // earliest fetch for the next instruction (mispredict redirect)
-	lastRet  uint64   // latest retire time assigned (in-order monotonicity)
+	ring     []ringSlot
+	n        uint64 // instructions processed
+	slot     int    // n % ROB, maintained incrementally
+	minFetch uint64 // earliest fetch for the next instruction (mispredict redirect)
+	lastRet  uint64 // latest retire time assigned (in-order monotonicity)
 	res      Result
 	// Batched dispatch state: when wsink is set, StepBatch accumulates up to
 	// wcap instructions per window in wcycles and delivers them in one call

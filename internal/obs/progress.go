@@ -18,6 +18,7 @@ type Progress struct {
 }
 
 // NewProgress returns a counter set anchored at the current time.
+//
 //lint:allow determinism -- live progress display measures wall-clock throughput, not simulated state
 func NewProgress() *Progress { return &Progress{start: time.Now()} }
 

@@ -22,8 +22,8 @@ type RunConfig struct {
 // rows of (workload?, prefetcher?, variant?, metric, value): a per-workload
 // speedup, a per-category scope, a sweep point, an aggregate geomean.
 type Row struct {
-	Workload   string  `json:"workload,omitempty"`
-	Prefetcher string  `json:"prefetcher,omitempty"`
+	Workload   string `json:"workload,omitempty"`
+	Prefetcher string `json:"prefetcher,omitempty"`
 	// Variant disambiguates rows within one (workload, prefetcher) cell:
 	// a mode ("alone", "composite"), a destination ("L1"), a category
 	// ("lhf"), or an ablation label.

@@ -93,8 +93,8 @@ func (e *Engine) storeGet(k Key, want int) ([]*sim.Result, bool) {
 		e.storeErrs.Add(1)
 		return nil, false
 	}
-	var rs []*sim.Result
-	if err := json.Unmarshal(rec.Payload, &rs); err != nil || len(rs) != want {
+	rs, err := sim.DecodeResults(rec.Payload)
+	if err != nil || len(rs) != want {
 		e.storeErrs.Add(1)
 		return nil, false
 	}

@@ -3,6 +3,8 @@ package runner
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"hash/crc32"
 	"reflect"
 	"strings"
 	"testing"
@@ -106,33 +108,87 @@ func TestStoreReadThroughWriteBehind(t *testing.T) {
 }
 
 // TestStoreCorruptRecordFallsBack: a corrupt record is an absorbed error —
-// the engine re-simulates and overwrites it with a good one.
+// the engine re-simulates, returns the fresh run's result and overwrites the
+// record with a good one. Besides a flipped bit, the cases are CRC-valid
+// records whose payload the result decoder must refuse.
 func TestStoreCorruptRecordFallsBack(t *testing.T) {
-	st := store.NewMem()
-	j := testJob(t, "stream.pure", "tpc", 15_000)
-	New(WithStore(st)).Single(j)
+	single := testJob(t, "stream.pure", "tpc", 15_000)
+	mcfg := sim.DefaultConfig(5_000)
+	mcfg.Cores = 4
+	mix := Job{Mix: workloads.Mixes(1, 3)[0], Prefetcher: sim.MustByName("tpc"), Config: mcfg}
 
-	k, _ := KeyOf(j)
-	st.Corrupt(k.Digest(), func(b []byte) []byte { b[len(b)-2] ^= 1; return b })
+	// edit re-frames the record around an edited copy of the good payload.
+	edit := func(f func(payload string) string) func(Key, []byte, []*sim.Result) []byte {
+		return func(k Key, _ []byte, want []*sim.Result) []byte {
+			payload, err := json.Marshal(want)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return framedRecord(k, f(string(payload)))
+		}
+	}
+	for _, c := range []struct {
+		name   string
+		job    Job
+		mutate func(k Key, rec []byte, want []*sim.Result) []byte
+	}{
+		{"bit flip", single, func(_ Key, rec []byte, _ []*sim.Result) []byte { rec[len(rec)-2] ^= 1; return rec }},
+		{"truncated array", single, edit(func(p string) string { return strings.TrimSuffix(p, "]") })},
+		{"trailing bytes", single, edit(func(p string) string { return p + "[]" })},
+		{"unknown field", single, edit(func(p string) string { return strings.Replace(p, `{"core":`, `{"extra":1,"core":`, 1) })},
+		{"map count 2^32", single, edit(func(p string) string {
+			return strings.Replace(p, `"miss_l1_lines":null`, `"miss_l1_lines":{"64":4294967296}`, 1)
+		})},
+		{"owner slot 256", single, edit(func(p string) string { return strings.Replace(p, `"owner_slots":[`, `"owner_slots":[256,`, 1) })},
+		{"one result for a mix", mix, func(k Key, _ []byte, want []*sim.Result) []byte {
+			payload, err := json.Marshal(want[:1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			return framedRecord(k, string(payload))
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			st := store.NewMem()
+			want := New(WithStore(st)).Run(context.Background(), []Job{c.job})
+			k, _ := KeyOf(c.job)
+			st.Corrupt(k.Digest(), func(b []byte) []byte { return c.mutate(k, b, want) })
 
-	e := New(WithStore(st))
-	if r := e.Single(j); r == nil {
-		t.Fatal("corrupt store record must fall back to simulation")
-	}
-	s := e.StoreStats()
-	if s.Errs != 1 || s.Hits != 0 || s.Puts != 1 {
-		t.Errorf("stats %+v, want 1 err / 0 hits / 1 put (re-simulated and repaired)", s)
-	}
-	if e.Sims() != 1 {
-		t.Errorf("sims=%d, want 1", e.Sims())
-	}
+			e := New(WithStore(st))
+			got := e.Run(context.Background(), []Job{c.job})
+			if !reflect.DeepEqual(got, want) {
+				t.Error("fallback result differs from the fresh run's")
+			}
+			s := e.StoreStats()
+			if s.Errs != 1 || s.Hits != 0 || s.Puts != 1 {
+				t.Errorf("stats %+v, want 1 err / 0 hits / 1 put (re-simulated and repaired)", s)
+			}
+			if e.Sims() != 1 {
+				t.Errorf("sims=%d, want 1", e.Sims())
+			}
 
-	// The overwrite repaired the record: a third engine hits cleanly.
-	third := New(WithStore(st))
-	third.Single(j)
-	if s := third.StoreStats(); s.Hits != 1 || s.Errs != 0 {
-		t.Errorf("after repair: stats %+v, want a clean hit", s)
+			// The overwrite repaired the record: a third engine hits cleanly.
+			third := New(WithStore(st))
+			third.Run(context.Background(), []Job{c.job})
+			if s := third.StoreStats(); s.Hits != 1 || s.Errs != 0 {
+				t.Errorf("after repair: stats %+v, want a clean hit", s)
+			}
+		})
 	}
+}
+
+// framedRecord frames a results record for k around payload verbatim, as
+// store.Encode would without checking the payload: CRC-valid whatever the
+// payload holds.
+func framedRecord(k Key, payload string) []byte {
+	str := func(s string) string {
+		b, _ := json.Marshal(s)
+		return string(b)
+	}
+	body := `{"schema":` + str(store.SchemaVersion) + `,"digest":` + str(k.Digest()) +
+		`,"key":` + str(k.Canonical()) + `,"kind":` + str(store.KindResults) + `,"payload":` + payload + "}"
+	crc := crc32.Checksum([]byte(body), crc32.MakeTable(crc32.Castagnoli))
+	return []byte(fmt.Sprintf("%s len=%d crc32c=%08x\n%s", store.SchemaVersion, len(body), crc, body))
 }
 
 // TestStoreKeyMismatchIsMiss: a record whose envelope key text disagrees

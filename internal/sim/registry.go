@@ -57,8 +57,8 @@ type regEntry struct {
 var registry = []regEntry{
 	{
 		name: "ghb-pc/dc", aliases: []string{"ghb"},
-		desc:   "GHB PC/DC delta-correlation prefetcher",
-		params: []paramDef{{"entries", 256}, {"degree", 4}},
+		desc:    "GHB PC/DC delta-correlation prefetcher",
+		params:  []paramDef{{"entries", 256}, {"degree", 4}},
 		hasDest: true, mono: true,
 		build: func(dest mem.Level, v map[string]int) Factory {
 			return func(workloads.Instance) prefetch.Component {
@@ -67,26 +67,26 @@ var registry = []regEntry{
 		},
 	},
 	{
-		name: "fdp",
-		desc: "feedback-directed stream prefetcher",
+		name:    "fdp",
+		desc:    "feedback-directed stream prefetcher",
 		hasDest: true, mono: true,
 		build: func(dest mem.Level, v map[string]int) Factory {
 			return func(workloads.Instance) prefetch.Component { return prefetchers.NewFDP(dest) }
 		},
 	},
 	{
-		name:   "vldp",
-		desc:   "variable-length delta prefetcher",
-		params: []paramDef{{"degree", 4}},
+		name:    "vldp",
+		desc:    "variable-length delta prefetcher",
+		params:  []paramDef{{"degree", 4}},
 		hasDest: true, mono: true,
 		build: func(dest mem.Level, v map[string]int) Factory {
 			return func(workloads.Instance) prefetch.Component { return prefetchers.NewVLDP(dest, v["degree"]) }
 		},
 	},
 	{
-		name:   "spp",
-		desc:   "signature path prefetcher",
-		params: []paramDef{{"threshold", 25}, {"maxdepth", 8}},
+		name:    "spp",
+		desc:    "signature path prefetcher",
+		params:  []paramDef{{"threshold", 25}, {"maxdepth", 8}},
 		hasDest: true, mono: true,
 		build: func(dest mem.Level, v map[string]int) Factory {
 			return func(workloads.Instance) prefetch.Component {
@@ -95,17 +95,17 @@ var registry = []regEntry{
 		},
 	},
 	{
-		name: "bop",
-		desc: "best-offset prefetcher",
+		name:    "bop",
+		desc:    "best-offset prefetcher",
 		hasDest: true, mono: true,
 		build: func(dest mem.Level, v map[string]int) Factory {
 			return func(workloads.Instance) prefetch.Component { return prefetchers.NewBOP(dest) }
 		},
 	},
 	{
-		name:   "ampm",
-		desc:   "access-map pattern-matching prefetcher",
-		params: []paramDef{{"maxstride", 16}, {"degree", 2}},
+		name:    "ampm",
+		desc:    "access-map pattern-matching prefetcher",
+		params:  []paramDef{{"maxstride", 16}, {"degree", 2}},
 		hasDest: true, mono: true,
 		build: func(dest mem.Level, v map[string]int) Factory {
 			return func(workloads.Instance) prefetch.Component {
@@ -114,26 +114,26 @@ var registry = []regEntry{
 		},
 	},
 	{
-		name: "sms",
-		desc: "spatial memory streaming prefetcher",
+		name:    "sms",
+		desc:    "spatial memory streaming prefetcher",
 		hasDest: true, mono: true,
 		build: func(dest mem.Level, v map[string]int) Factory {
 			return func(workloads.Instance) prefetch.Component { return prefetchers.NewSMS(dest) }
 		},
 	},
 	{
-		name:   "nextline",
-		desc:   "next-N-line prefetcher",
-		params: []paramDef{{"degree", 1}},
+		name:    "nextline",
+		desc:    "next-N-line prefetcher",
+		params:  []paramDef{{"degree", 1}},
 		hasDest: true,
 		build: func(dest mem.Level, v map[string]int) Factory {
 			return func(workloads.Instance) prefetch.Component { return prefetchers.NewNextLine(dest, v["degree"]) }
 		},
 	},
 	{
-		name:   "stride",
-		desc:   "PC-indexed stride prefetcher",
-		params: []paramDef{{"entries", 256}, {"degree", 4}},
+		name:    "stride",
+		desc:    "PC-indexed stride prefetcher",
+		params:  []paramDef{{"entries", 256}, {"degree", 4}},
 		hasDest: true,
 		build: func(dest mem.Level, v map[string]int) Factory {
 			return func(workloads.Instance) prefetch.Component {
@@ -142,18 +142,18 @@ var registry = []regEntry{
 		},
 	},
 	{
-		name:   "markov",
-		desc:   "Markov (address-correlation) prefetcher",
-		params: []paramDef{{"degree", 2}},
+		name:    "markov",
+		desc:    "Markov (address-correlation) prefetcher",
+		params:  []paramDef{{"degree", 2}},
 		hasDest: true,
 		build: func(dest mem.Level, v map[string]int) Factory {
 			return func(workloads.Instance) prefetch.Component { return prefetchers.NewMarkov(dest, v["degree"]) }
 		},
 	},
 	{
-		name:   "streambuf",
-		desc:   "stream buffers",
-		params: []paramDef{{"depth", 4}},
+		name:    "streambuf",
+		desc:    "stream buffers",
+		params:  []paramDef{{"depth", 4}},
 		hasDest: true,
 		build: func(dest mem.Level, v map[string]int) Factory {
 			return func(workloads.Instance) prefetch.Component { return prefetchers.NewStreamBuf(dest, v["depth"]) }

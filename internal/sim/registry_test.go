@@ -16,7 +16,7 @@ func TestByNameSpecs(t *testing.T) {
 		{"TPC", "tpc"},
 		{"ghb", "ghb-pc/dc"},
 		{"ghb-pc/dc", "ghb-pc/dc"},
-		{"t2+p1", "t2+p1"}, // atom with '+' in its name, not a composite
+		{"t2+p1", "t2+p1"},                        // atom with '+' in its name, not a composite
 		{"ghb:entries=256,degree=4", "ghb-pc/dc"}, // defaults elide
 		{"ghb:entries=512", "ghb-pc/dc:entries=512"},
 		{"ghb:degree=8,entries=512", "ghb-pc/dc:entries=512,degree=8"}, // canonical order

@@ -595,8 +595,8 @@ type traceInstance struct {
 	ft *trace.FileTrace
 }
 
-func (t *traceInstance) Next(in *trace.Inst) bool           { return t.ft.Next(in) }
-func (t *traceInstance) Memory() vmem.Memory                { return t.ft.Memory }
+func (t *traceInstance) Next(in *trace.Inst) bool               { return t.ft.Next(in) }
+func (t *traceInstance) Memory() vmem.Memory                    { return t.ft.Memory }
 func (t *traceInstance) Classify(cache.Line) workloads.Category { return workloads.HHF }
 
 // RunTrace replays a captured trace file on one core with the given

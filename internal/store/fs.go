@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -17,7 +18,8 @@ import (
 //
 //	objects/<digest[:2]>/<digest>.rec   framed records, sharded by prefix
 //	leases/<name>.lock                  advisory leases (JSON: owner, expiry)
-//	tmp/                                staging for atomic write-rename
+//	tmp/                                staging for records (rename) and
+//	                                    leases (link); lease break markers
 //
 // Writes stage into tmp/ and publish with an atomic rename, so readers never
 // observe a torn record; because a record's bytes are a pure function of its
@@ -127,10 +129,16 @@ type leaseFile struct {
 	Expires int64  `json:"expires_unix_ns"`
 }
 
-// TryLease implements Store. The lockfile is created with O_EXCL; an
-// existing, unexpired lease loses the race. An expired lease is broken by
-// atomically renaming it aside — of several processes racing to break the
-// same stale lock, rename succeeds for exactly one — before re-creating.
+// breakEpoch bounds how long a break marker left by a process killed
+// mid-break can block its lease: markers are named per epoch of this length
+// past the lease's expiry, so the next epoch's breakers use a fresh name.
+const breakEpoch = time.Minute
+
+// TryLease implements Store. A lease is staged complete in tmp/ and
+// published with os.Link, which fails if the lockfile exists, so a claimant
+// never reads a partly written lease and exactly one claimant publishes.
+// An existing, unexpired lease loses the race; an expired one is broken by
+// removeLease, and the claim is retried once.
 func (s *FS) TryLease(name string, ttl time.Duration) (func() error, bool, error) {
 	if strings.ContainsAny(name, "/\\ \t\n") {
 		return nil, false, fmt.Errorf("store: lease name %q is not filesystem-safe", name)
@@ -139,63 +147,77 @@ func (s *FS) TryLease(name string, ttl time.Duration) (func() error, bool, error
 		return nil, false, fmt.Errorf("store: lease ttl %v must be positive", ttl)
 	}
 	path := filepath.Join(s.root, "leases", name+".lock")
-	token := fmt.Sprintf("%d-%d", os.Getpid(), seq.Add(1))
-	body, err := json.Marshal(leaseFile{Owner: token, Expires: s.now().Add(ttl).UnixNano()})
+	own := leaseFile{Owner: fmt.Sprintf("%d-%d", os.Getpid(), seq.Add(1)), Expires: s.now().Add(ttl).UnixNano()}
+	body, err := json.Marshal(own)
 	if err != nil {
 		return nil, false, err
 	}
+	staged := filepath.Join(s.root, "tmp", "lease-"+own.Owner)
+	if err := os.WriteFile(staged, body, 0o644); err != nil {
+		return nil, false, fmt.Errorf("store: stage lease %s: %w", name, err)
+	}
+	defer os.Remove(staged)
 	for attempt := 0; attempt < 2; attempt++ {
-		f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+		err := os.Link(staged, path)
 		if err == nil {
-			_, werr := f.Write(body)
-			if cerr := f.Close(); werr == nil {
-				werr = cerr
-			}
-			if werr != nil {
-				os.Remove(path)
-				return nil, false, fmt.Errorf("store: write lease %s: %w", name, werr)
-			}
-			return func() error { return s.releaseLease(path, token) }, true, nil
+			return func() error { return s.removeLease(path, body, own) }, true, nil
 		}
 		if !errors.Is(err, fs.ErrExist) {
 			return nil, false, fmt.Errorf("store: lease %s: %w", name, err)
 		}
-		data, rerr := os.ReadFile(path)
-		if rerr != nil {
-			if errors.Is(rerr, fs.ErrNotExist) {
-				continue // released between our create and read; retry
-			}
-			return nil, false, fmt.Errorf("store: lease %s: %w", name, rerr)
+		data, err := os.ReadFile(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			continue // released between our link and read; retry
 		}
-		var lf leaseFile
-		if json.Unmarshal(data, &lf) == nil && s.now().UnixNano() < lf.Expires {
+		if err != nil {
+			return nil, false, fmt.Errorf("store: lease %s: %w", name, err)
+		}
+		var held leaseFile
+		if json.Unmarshal(data, &held) == nil && s.now().UnixNano() < held.Expires {
 			return nil, false, nil // held and fresh
 		}
-		// Stale (or unreadable) lease: break it by renaming aside. Exactly
-		// one breaker wins the rename; everyone retries the exclusive create
-		// and at most one acquires.
-		aside := filepath.Join(s.root, "tmp", fmt.Sprintf("stale-%s-%s.lock", name, token))
-		if os.Rename(path, aside) == nil {
-			os.Remove(aside)
+		// Stale (or unreadable) lease: break it, then retry the link, which
+		// at most one claimant wins.
+		if err := s.removeLease(path, data, held); err != nil {
+			return nil, false, fmt.Errorf("store: break lease %s: %w", name, err)
 		}
 	}
 	return nil, false, nil
 }
 
-// releaseLease removes the lockfile iff we still own it (an expired lease
-// may have been broken and re-acquired by another process; removing theirs
-// would double-grant the next acquire).
-func (s *FS) releaseLease(path, token string) error {
-	data, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return nil
-	}
-	if err != nil {
+// removeLease deletes the lockfile iff it still holds want, the bytes of
+// lease l: a release, or the break of an expired lease. The lockfile is
+// first hard-linked to a marker named after l's owner, and only the process
+// whose link succeeds goes on; it removes the lockfile only if the marker
+// still holds want. Until that process removes the marker, nobody else can
+// act on l, and once the lockfile no longer holds l no marker check passes,
+// so a removal never takes a lease published after l. A marker left by a
+// process killed mid-removal blocks l only until the next breakEpoch.
+func (s *FS) removeLease(path string, want []byte, l leaseFile) error {
+	marker := s.breakMarker(path, l)
+	if err := os.Link(path, marker); errors.Is(err, fs.ErrNotExist) || errors.Is(err, fs.ErrExist) {
+		return nil // already gone, or another process is removing it
+	} else if err != nil {
 		return err
 	}
-	var lf leaseFile
-	if json.Unmarshal(data, &lf) == nil && lf.Owner != token {
-		return nil // stolen after expiry; not ours to remove
+	defer os.Remove(marker)
+	got, err := os.ReadFile(marker)
+	if err != nil || !bytes.Equal(got, want) {
+		return err // the lockfile has moved on to a newer lease
 	}
-	return os.Remove(path)
+	if err := os.Remove(path); err != nil && !errors.Is(err, fs.ErrNotExist) {
+		return err
+	}
+	return nil
+}
+
+// breakMarker names the marker for removing lease l from path in the
+// current break epoch.
+func (s *FS) breakMarker(path string, l leaseFile) string {
+	owner := l.Owner
+	if strings.ContainsAny(owner, "/\\ \t\n") {
+		owner = "" // a damaged lockfile, whose owner must not name a path
+	}
+	epoch := max(0, (s.now().UnixNano()-l.Expires)/int64(breakEpoch))
+	return filepath.Join(s.root, "tmp", fmt.Sprintf("break-%s-%s-%d", filepath.Base(path), owner, epoch))
 }

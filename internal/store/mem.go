@@ -43,7 +43,9 @@ func (m *Mem) Get(digest string) (*Record, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
-	return Decode(digest, data)
+	// Decode's payload aliases its input: hand it a copy, so a caller that
+	// mutates the payload cannot reach the stored bytes.
+	return Decode(digest, append([]byte(nil), data...))
 }
 
 // Put implements Store.

@@ -19,12 +19,14 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
 	"strings"
 	"time"
+	"unicode/utf8"
 )
 
 // SchemaVersion identifies the record envelope. Bump it on any incompatible
@@ -36,7 +38,8 @@ const SchemaVersion = "divlab.store/v1"
 // kind tells readers which decoder to apply.
 const (
 	// KindResults marks a runner result set: the payload is a JSON array of
-	// sim.Result objects (one for single-core runs, one per core for mixes).
+	// sim.Result objects (one for single-core runs, one per core for mixes),
+	// read by sim.DecodeResults.
 	KindResults = "runner.results/v1"
 	// KindSweepPoint marks one sweep grid point: the payload is a validated
 	// divlab.exp/v1 report holding that point's rows.
@@ -57,7 +60,9 @@ type Record struct {
 	Key string `json:"key"`
 	// Kind discriminates the payload decoder (KindResults, KindSweepPoint).
 	Kind string `json:"kind"`
-	// Payload is the wrapped artifact, stored verbatim.
+	// Payload is the wrapped artifact, stored verbatim. Decode hands it
+	// back unscanned: the CRC guards its bytes, and the reader of Kind
+	// checks its syntax.
 	Payload json.RawMessage `json:"payload"`
 }
 
@@ -138,35 +143,40 @@ func Encode(rec *Record) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("store: encode record %s: %w", rec.Digest, err)
 	}
-	header := fmt.Sprintf("%s len=%d crc32c=%08x\n", SchemaVersion, len(body), crc32.Checksum(body, crcTable))
-	return append([]byte(header), body...), nil
+	return frame(body), nil
 }
 
-// Decode parses a framed record, verifying the header, length and CRC. The
-// digest parameter is the address the record was fetched under; a mismatch
-// with the envelope's own digest is corruption.
+// frame prefixes a record body with its header line.
+func frame(body []byte) []byte {
+	header := fmt.Sprintf("%s len=%d crc32c=%08x\n", SchemaVersion, len(body), crc32.Checksum(body, crcTable))
+	return append([]byte(header), body...)
+}
+
+// Decode parses a framed record, verifying the header, length, CRC and
+// envelope. The digest parameter is the address the record was fetched
+// under; a mismatch with the envelope's own digest is corruption. The
+// returned Payload aliases data, so data must not be reused while the
+// record is held.
 func Decode(digest string, data []byte) (*Record, error) {
 	corrupt := func(format string, args ...interface{}) error {
 		return &CorruptError{Digest: digest, Reason: fmt.Sprintf(format, args...)}
 	}
-	nl := -1
-	for i, b := range data {
-		if b == '\n' {
-			nl = i
-			break
-		}
-	}
+	nl := bytes.IndexByte(data, '\n')
 	if nl < 0 {
 		return nil, corrupt("no header line (truncated at %d bytes)", len(data))
 	}
+	header := string(data[:nl])
 	var n int
 	var crc uint32
 	var schema string
-	if _, err := fmt.Sscanf(string(data[:nl]), "%s len=%d crc32c=%x", &schema, &n, &crc); err != nil {
-		return nil, corrupt("unparseable header %q", string(data[:nl]))
+	if _, err := fmt.Sscanf(header, "%s len=%d crc32c=%x", &schema, &n, &crc); err != nil {
+		return nil, corrupt("unparseable header %q", header)
 	}
 	if schema != SchemaVersion {
 		return nil, corrupt("schema %q, want %q", schema, SchemaVersion)
+	}
+	if header != fmt.Sprintf("%s len=%d crc32c=%08x", schema, n, crc) {
+		return nil, corrupt("non-canonical header %q", header)
 	}
 	body := data[nl+1:]
 	if len(body) != n {
@@ -175,8 +185,8 @@ func Decode(digest string, data []byte) (*Record, error) {
 	if got := crc32.Checksum(body, crcTable); got != crc {
 		return nil, corrupt("crc32c %08x, header says %08x", got, crc)
 	}
-	var rec Record
-	if err := json.Unmarshal(body, &rec); err != nil {
+	rec, err := readEnvelope(body)
+	if err != nil {
 		return nil, corrupt("undecodable body: %v", err)
 	}
 	if err := rec.Validate(); err != nil {
@@ -185,5 +195,73 @@ func Decode(digest string, data []byte) (*Record, error) {
 	if rec.Digest != digest {
 		return nil, corrupt("envelope digest %s does not match address", rec.Digest)
 	}
+	return rec, nil
+}
+
+// readEnvelope reads a body as Encode writes it: the Record's fields in
+// declaration order, no whitespace, the payload last. The payload is
+// returned unscanned, as the sub-slice between its field name and the
+// closing brace: the CRC guards its bytes, and the reader of its kind
+// checks its syntax.
+func readEnvelope(body []byte) (*Record, error) {
+	var rec Record
+	rest := body
+	for _, f := range []struct {
+		key string
+		dst *string
+	}{
+		{`{"schema":`, &rec.Schema},
+		{`,"digest":`, &rec.Digest},
+		{`,"key":`, &rec.Key},
+		{`,"kind":`, &rec.Kind},
+	} {
+		var ok bool
+		if rest, ok = bytes.CutPrefix(rest, []byte(f.key)); !ok {
+			return nil, fmt.Errorf("want %s", f.key)
+		}
+		s, n, err := readString(rest)
+		if err != nil {
+			return nil, fmt.Errorf("%s value: %w", f.key, err)
+		}
+		*f.dst, rest = s, rest[n:]
+	}
+	payload, ok := bytes.CutPrefix(rest, []byte(`,"payload":`))
+	if !ok {
+		return nil, errors.New(`want ,"payload":`)
+	}
+	payload, ok = bytes.CutSuffix(payload, []byte("}"))
+	if !ok || len(payload) == 0 || isSpace(payload[0]) || isSpace(payload[len(payload)-1]) {
+		return nil, errors.New("payload must be non-empty, unpadded and close the envelope")
+	}
+	rec.Payload = payload
 	return &rec, nil
 }
+
+// readString reads the JSON string at the start of b and returns it with
+// its encoded length. A string with no escapes and valid UTF-8 is copied
+// as is; anything else is unquoted by encoding/json.
+func readString(b []byte) (string, int, error) {
+	if len(b) == 0 || b[0] != '"' {
+		return "", 0, errors.New("want a string")
+	}
+	plain := true
+	for i := 1; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			if raw := b[1:i]; plain && utf8.Valid(raw) {
+				return string(raw), i + 1, nil
+			}
+			var s string
+			err := json.Unmarshal(b[:i+1], &s)
+			return s, i + 1, err
+		case c == '\\':
+			plain = false
+			i++
+		case c < ' ':
+			return "", 0, errors.New("control character in string")
+		}
+	}
+	return "", 0, errors.New("unterminated string")
+}
+
+func isSpace(c byte) bool { return c == ' ' || c == '\t' || c == '\n' || c == '\r' }

@@ -10,6 +10,9 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"divlab/internal/sim"
+	"divlab/internal/workloads"
 )
 
 func testRecord(digest, key string) *Record {
@@ -66,6 +69,14 @@ func TestPutGetRoundTrip(t *testing.T) {
 		if got.Digest != rec.Digest || got.Key != rec.Key || got.Kind != rec.Kind ||
 			!bytes.Equal(got.Payload, rec.Payload) {
 			t.Errorf("round trip mismatch: %+v vs %+v", got, rec)
+		}
+		// The payload aliases the bytes Decode read: mutating it must not
+		// reach the stored record.
+		for i := range got.Payload {
+			got.Payload[i] = 'x'
+		}
+		if again, err := s.Get("abc123"); err != nil || !bytes.Equal(again.Payload, rec.Payload) {
+			t.Errorf("Get after mutating a returned payload: %v", err)
 		}
 		if _, err := s.Get("missing"); !errors.Is(err, ErrNotFound) {
 			t.Errorf("Get(missing) = %v, want ErrNotFound", err)
@@ -305,6 +316,41 @@ func TestConcurrentLeaseRace(t *testing.T) {
 	})
 }
 
+// TestKilledBreakerDoesNotWedgeLease: a process killed mid-break leaves
+// its marker behind. The stale lease stays held for the rest of that break
+// epoch and is broken in the next.
+func TestKilledBreakerDoesNotWedgeLease(t *testing.T) {
+	clock := newFakeClock()
+	s, err := OpenFS(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.WithClock(clock.Now)
+	if _, ok, err := s.TryLease("point", time.Minute); err != nil || !ok {
+		t.Fatalf("seed: ok=%v err=%v", ok, err)
+	}
+	clock.Advance(2 * time.Minute)
+	path := filepath.Join(s.Root(), "leases", "point.lock")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stale leaseFile
+	if err := json.Unmarshal(data, &stale); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Link(path, s.breakMarker(path, stale)); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok, err := s.TryLease("point", time.Minute); err != nil || ok {
+		t.Fatalf("claim beside a live break marker: ok=%v err=%v, want held", ok, err)
+	}
+	clock.Advance(breakEpoch)
+	if _, ok, err := s.TryLease("point", time.Minute); err != nil || !ok {
+		t.Fatalf("claim in the next break epoch: ok=%v err=%v, want acquired", ok, err)
+	}
+}
+
 func TestDecodeRejectsWrongSchema(t *testing.T) {
 	data, err := Encode(testRecord("d1", "k"))
 	if err != nil {
@@ -314,4 +360,63 @@ func TestDecodeRejectsWrongSchema(t *testing.T) {
 	if _, err := Decode("d1", mangled); !IsCorrupt(err) {
 		t.Errorf("future schema: Decode = %v, want CorruptError", err)
 	}
+}
+
+// FuzzDecode: Decode never panics and never accepts a record whose length,
+// CRC, schema or digest disagree with its bytes. When it accepts a record
+// whose body encoding/json also reads, both agree on the four strings, and
+// on the payload bytes whenever the payload is one JSON value. A payload
+// that is not is returned as is: each payload's own decoder refuses it.
+// With reframe set, the input is a body and gets a valid header, so the
+// fuzzer reaches the envelope reader past the CRC. The seeds are a real
+// result payload and a sweep report under keys in the runner's and the
+// sweep's canonical forms, whose newlines the encoder escapes.
+func FuzzDecode(f *testing.F) {
+	result, err := json.Marshal([]*sim.Result{sim.RunSingle(workloads.SPEC()[0], nil, sim.DefaultConfig(1000))})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, rec := range []*Record{
+		{Schema: SchemaVersion, Digest: "5d3b45f5d6a06d10261cc46bd3688779", Kind: KindResults, Payload: result,
+			Key: "divlab.key/v1\nworkload=stream.pure\nprefetcher=tpc\nmulti=false\nseed=1\ninsts=20000\ncores=1\n"},
+		{Schema: SchemaVersion, Digest: "a1b2c3", Kind: KindSweepPoint,
+			Key:     "divlab.sweep/v1\ngrid=degree\ninsts=40000\npoint=stride-deg=2\n",
+			Payload: []byte(`{"schema":"divlab.exp/v1","experiment":"sweep-point:stride-deg=2","rows":[{"metric":"speedup","value":1.5}]}`)},
+	} {
+		data, err := Encode(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(rec.Digest, data, false)
+		f.Add(rec.Digest, data[bytes.IndexByte(data, '\n')+1:], true)
+	}
+	f.Fuzz(func(t *testing.T, digest string, data []byte, reframe bool) {
+		if reframe {
+			data = frame(data)
+		}
+		rec, err := Decode(digest, data)
+		if err != nil {
+			if !IsCorrupt(err) {
+				t.Fatalf("Decode error %v is not a CorruptError", err)
+			}
+			return
+		}
+		body := data[bytes.IndexByte(data, '\n')+1:]
+		if !bytes.Equal(data, frame(body)) {
+			t.Fatalf("Decode accepted a header that disagrees with its body: %q", data)
+		}
+		if rec.Digest != digest {
+			t.Fatalf("Decode accepted digest %q at address %q", rec.Digest, digest)
+		}
+		var ref Record
+		if json.Unmarshal(body, &ref) != nil {
+			return
+		}
+		if rec.Schema != ref.Schema || rec.Digest != ref.Digest || rec.Key != ref.Key || rec.Kind != ref.Kind {
+			t.Fatalf("envelope strings disagree:\n got %+v\nwant %+v", rec, ref)
+		}
+		if json.Valid(rec.Payload) && !bytes.Equal(rec.Payload, ref.Payload) {
+			t.Fatalf("payloads disagree:\n got %q\nwant %q", rec.Payload, ref.Payload)
+		}
+	})
 }

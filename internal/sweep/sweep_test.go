@@ -3,7 +3,9 @@ package sweep
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"sort"
 	"testing"
@@ -230,17 +232,40 @@ func TestCorruptPointRecomputed(t *testing.T) {
 	}
 	victim := g.PointDigest(g.Points[0])
 	st.Corrupt(victim, func(b []byte) []byte { return b[:len(b)/2] })
+	// A CRC-valid record whose payload is no report: the store hands the
+	// payload over unscanned, and the point reader must refuse it.
+	p := g.Points[1]
+	st.Corrupt(g.PointDigest(p), func([]byte) []byte {
+		return framedRecord(g.PointDigest(p), g.canonical(p), `{"schema":`)
+	})
+	if _, err := g.load(st, p); !store.IsCorrupt(err) {
+		t.Errorf("malformed point payload: load = %v, want CorruptError", err)
+	}
 
 	sum, err := Run(context.Background(), g, Options{Store: st, Engine: runner.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sum.Computed != 1 || sum.Hits != 3 {
-		t.Errorf("summary %+v, want 1 recomputed / 3 hits", sum)
+	if sum.Computed != 2 || sum.Hits != 2 {
+		t.Errorf("summary %+v, want 2 recomputed / 2 hits", sum)
 	}
 	if _, missing, _ := Merge(g, st); len(missing) != 0 {
 		t.Errorf("still missing after repair: %v", missing)
 	}
+}
+
+// framedRecord frames a sweep point record around payload verbatim, as
+// store.Encode would without checking the payload: CRC-valid whatever the
+// payload holds.
+func framedRecord(digest, key, payload string) []byte {
+	str := func(s string) string {
+		b, _ := json.Marshal(s)
+		return string(b)
+	}
+	body := `{"schema":` + str(store.SchemaVersion) + `,"digest":` + str(digest) + `,"key":` + str(key) +
+		`,"kind":` + str(store.KindSweepPoint) + `,"payload":` + payload + "}"
+	crc := crc32.Checksum([]byte(body), crc32.MakeTable(crc32.Castagnoli))
+	return []byte(fmt.Sprintf("%s len=%d crc32c=%08x\n%s", store.SchemaVersion, len(body), crc, body))
 }
 
 // TestShardPartitionCoversGrid: every point lands in exactly one shard for
