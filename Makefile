@@ -1,15 +1,15 @@
 GO ?= go
 
-.PHONY: all ci vet lint build test short race race-stress bench bench-json fuzz
+.PHONY: all ci vet lint build test short race race-stress perfbench bench bench-json fuzz
 
 # The default target runs the full local gate: lint (go vet + divlint),
-# build, and the plain test suite.
-all: lint build test
+# build, the plain test suite, and the nested benchmark module's vet + tests.
+all: lint build test perfbench
 
-# ci is what .github/workflows/ci.yml runs: lint, build, and the race-enabled
+# ci is what .github/workflows/ci.yml runs: lint, build, the race-enabled
 # test suite — the race detector is the correctness backstop for the
-# internal/runner worker pool.
-ci: lint build race
+# internal/runner worker pool — and the benchmark module.
+ci: lint build race perfbench
 
 vet:
 	$(GO) vet ./...
@@ -45,6 +45,14 @@ race:
 race-stress:
 	GOMAXPROCS=2 $(GO) test -race -count=3 ./internal/runner/... ./internal/store/... ./internal/sweep/... ./internal/obs/...
 	GOMAXPROCS=8 $(GO) test -race -count=3 ./internal/runner/... ./internal/store/... ./internal/sweep/... ./internal/obs/...
+
+# perfbench vets and tests the repository benchmark under perfbench/. It is a
+# nested module, so ./... from the root never compiles it: this target is
+# what catches an internal API change that breaks the benchmark. The
+# benchmark builds offline against this checkout (GOWORK=off GOPROXY=off).
+perfbench:
+	GOWORK=off GOPROXY=off $(GO) -C perfbench vet ./...
+	GOWORK=off GOPROXY=off $(GO) -C perfbench test ./...
 
 # bench runs every benchmark at a steady-state budget with allocation
 # reporting; -benchtime 1x hid both warmup effects and the alloc columns.

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"io"
 	"testing"
 
@@ -69,7 +70,7 @@ func BenchmarkFig8(b *testing.B) {
 	cols := len(pfs) + 1
 	var tpcG, bestMono float64
 	for i := 0; i < b.N; i++ {
-		res := runner.New().RunBatch(fig8Jobs(o, pfs))
+		res := runner.New().Run(context.Background(), fig8Jobs(o, pfs))
 		per := make(map[string][]float64)
 		for a := 0; a < len(res); a += cols {
 			base := res[a]
@@ -112,17 +113,19 @@ func BenchmarkDropPolicy(b *testing.B) {
 		cfg.DropPolicy = dram.DropRandomPrefetch
 		cfgPri := cfg
 		cfgPri.DropPolicy = dram.DropLowPriorityPrefetch
-		var jobs []runner.MultiJob
+		var jobs []runner.Job
 		for _, mix := range mixes {
 			jobs = append(jobs,
-				runner.MultiJob{Mix: mix, Prefetcher: sim.Baseline(), Config: cfg},
-				runner.MultiJob{Mix: mix, Prefetcher: tpcN, Config: cfg},
-				runner.MultiJob{Mix: mix, Prefetcher: tpcN, Config: cfgPri})
+				runner.Job{Mix: mix, Prefetcher: sim.Baseline(), Config: cfg},
+				runner.Job{Mix: mix, Prefetcher: tpcN, Config: cfg},
+				runner.Job{Mix: mix, Prefetcher: tpcN, Config: cfgPri})
 		}
-		res := eng.RunMultiBatch(jobs)
+		res := eng.Run(context.Background(), jobs)
+		// Each job owns cfg.Cores consecutive slots of the flattened output.
+		job := func(i int) []*sim.Result { return res[i*cfg.Cores : (i+1)*cfg.Cores] }
 		var rnd, pri []float64
 		for mi := range mixes {
-			base := res[3*mi]
+			base := job(3 * mi)
 			ws := func(rs []*sim.Result) float64 {
 				s := 0.0
 				for k := range rs {
@@ -132,8 +135,8 @@ func BenchmarkDropPolicy(b *testing.B) {
 				}
 				return s / float64(len(rs))
 			}
-			rnd = append(rnd, ws(res[3*mi+1]))
-			pri = append(pri, ws(res[3*mi+2]))
+			rnd = append(rnd, ws(job(3*mi+1)))
+			pri = append(pri, ws(job(3*mi+2)))
 		}
 		gr, gp := stats.Geomean(rnd), stats.Geomean(pri)
 		if gr > 0 {
@@ -158,8 +161,8 @@ func BenchmarkParallelMatrix(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := runner.New()
-		eng.RunBatch(jobs)
-		eng.RunBatch(jobs)
+		eng.Run(context.Background(), jobs)
+		eng.Run(context.Background(), jobs)
 		h, m := eng.Stats()
 		hits += h
 		misses += m

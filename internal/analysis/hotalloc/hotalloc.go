@@ -8,8 +8,9 @@
 // benchmark exercises; this analyzer holds the same contract statically, for
 // every configuration, at lint time. The entry set is the hot-path surface:
 // (*sim.HotPath).Access and (*sim.HotPath).OnInst (the benchmarked paths),
-// the batched dispatch spine ((*cpu.Core).Step/StepBatch, the runner's
-// window accumulator and sink drain, (*prefetch.Sink).Issue/Advance), every
+// the batched dispatch spine ((*cpu.Core).StepBatch — the core's only
+// timing loop — the runner's window accumulator and sink drain,
+// (*prefetch.Sink).Issue/Advance), every
 // concrete OnAccess/OnInst hook — and their OnAccessBatch/OnInstBatch batch
 // counterparts — the simulator dispatches through the prefetch component
 // interfaces, and the memory-system fast paths the access loop drives —
@@ -67,7 +68,7 @@ const prefetchPath = "divlab/internal/prefetch"
 
 // entryFuncs are the pinned hot-path entries by FullName: the HotPath
 // harness methods benchmarks drive, the batched dispatch spine (the core's
-// batch step loop, the runner-side window accumulator and sink drain, the
+// step loop, the runner-side window accumulator and sink drain, the
 // Sink's per-request collection methods), and the memory-system fast paths
 // they exercise. Listing the fast paths explicitly (rather than relying on
 // their reachability from HotPath) keeps them covered even if an
@@ -77,7 +78,6 @@ var entryFuncs = []string{
 	"(*divlab/internal/sim.HotPath).OnInst",
 	"(*divlab/internal/sim.runner).OnInstWindow",
 	"(*divlab/internal/sim.runner).FlushSink",
-	"(*divlab/internal/cpu.Core).Step",
 	"(*divlab/internal/cpu.Core).StepBatch",
 	"(*divlab/internal/prefetch.Sink).Issue",
 	"(*divlab/internal/prefetch.Sink).Advance",

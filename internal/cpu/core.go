@@ -7,7 +7,11 @@
 // serialization and prefetch timeliness all fall out of the dataflow.
 package cpu
 
-import "divlab/internal/trace"
+import (
+	"math"
+
+	"divlab/internal/trace"
+)
 
 // MemPort is the core's window onto the memory hierarchy. Access returns the
 // latency observed by a demand access issued at cycle `at`.
@@ -17,18 +21,29 @@ type MemPort interface {
 
 // InstHook observes every instruction at dispatch (the point where the
 // paper's prefetcher components snoop decode/issue). cycle is the dispatch
-// cycle.
+// cycle. New wraps a hook in a WindowSink that calls it once per
+// instruction of each window.
 type InstHook func(in *trace.Inst, cycle uint64)
 
-// WindowSink receives completed dispatch windows from the batched step path:
-// insts[i] was dispatched at cycles[i]. A window is flushed immediately
-// before every demand access (so prefetches issued from dispatch-time
-// training land before the access that scalar dispatch would have given
-// them), when it reaches the window cap, and at batch boundaries — all
-// points where the scalar hook path had an empty queue, which is what keeps
-// window placement invisible in the results.
+// WindowSink receives dispatch windows from StepBatch: insts[i] was
+// dispatched at cycles[i]. A window is flushed immediately before every
+// demand access (so prefetches issued from dispatch-time training land
+// before that access), when it reaches the window cap, and at batch
+// boundaries. No dispatch event is ever held back past a demand access, so
+// window placement is invisible in the results: a cap of 1 delivers exactly
+// what a per-instruction hook would, at the same points in the access
+// stream.
 type WindowSink interface {
 	OnInstWindow(insts []trace.Inst, cycles []uint64)
+}
+
+// hookSink adapts an InstHook to WindowSink.
+type hookSink InstHook
+
+func (h hookSink) OnInstWindow(insts []trace.Inst, cycles []uint64) {
+	for i := range insts {
+		h(&insts[i], cycles[i])
+	}
 }
 
 // MaxWindow is the largest dispatch window StepBatch accumulates before
@@ -83,15 +98,14 @@ func (r Result) IPC() float64 {
 // Core is the analytical OoO model. The zero value is not usable; construct
 // with New.
 type Core struct {
-	p    Params
-	mem  MemPort
-	hook InstHook
+	p   Params
+	mem MemPort
 	// regReady is indexed by trace.Reg (uint8); sizing it to the full byte
 	// range makes every Src1/Src2/Dst index provably in bounds. Only the low
 	// trace.NumRegs slots are ever written by well-formed traces.
 	regReady [256]uint64
 	// ring holds fetch and retire times of inst i (mod ROB) as one slot so
-	// each instruction's state lands on one cache line: every Step reads both
+	// each instruction's state lands on one cache line: every step reads both
 	// words of the trailing slot and rewrites both words of the current one.
 	ring     []ringSlot
 	n        uint64 // instructions processed
@@ -99,9 +113,8 @@ type Core struct {
 	minFetch uint64 // earliest fetch for the next instruction (mispredict redirect)
 	lastRet  uint64 // latest retire time assigned (in-order monotonicity)
 	res      Result
-	// Batched dispatch state: when wsink is set, StepBatch accumulates up to
-	// wcap instructions per window in wcycles and delivers them in one call
-	// instead of invoking hook per instruction.
+	// Dispatch windows: when wsink is set, StepBatch accumulates up to wcap
+	// instructions per window in wcycles and delivers them in one call.
 	wsink   WindowSink
 	wcap    int
 	wcycles [MaxWindow]uint64
@@ -113,19 +126,22 @@ type ringSlot struct {
 	retire uint64
 }
 
-// New builds a core over the given memory port. hook may be nil.
+// New builds a core over the given memory port. hook may be nil; a non-nil
+// hook is installed as the core's window sink.
 func New(p Params, memPort MemPort, hook InstHook) *Core {
 	if p.Width <= 0 || p.ROB <= 0 {
 		panic("cpu: width and ROB must be positive")
 	}
-	c := &Core{p: p, mem: memPort, hook: hook, wcap: MaxWindow}
+	c := &Core{p: p, mem: memPort, wcap: MaxWindow}
+	if hook != nil {
+		c.wsink = hookSink(hook)
+	}
 	c.ring = make([]ringSlot, p.ROB)
 	return c
 }
 
-// SetWindowSink installs the batched dispatch sink. StepBatch then delivers
-// dispatch windows through it instead of calling the scalar hook; Step (the
-// scalar entry) keeps using the hook, and the two produce identical results.
+// SetWindowSink installs the dispatch window sink, replacing any hook passed
+// to New. With no sink, StepBatch skips window bookkeeping entirely.
 func (c *Core) SetWindowSink(s WindowSink) { c.wsink = s }
 
 // SetWindowCap overrides the dispatch-window cap (clamped to [1, MaxWindow]).
@@ -140,122 +156,14 @@ func (c *Core) SetWindowCap(n int) {
 	c.wcap = n
 }
 
-// Step processes one dynamic instruction.
-func (c *Core) Step(in *trace.Inst) {
-	p := &c.p
-	i := c.n
-	slot := c.slot
-	// slotW trails slot by Width positions; both wrap by subtraction since
-	// ROB is not a power of two and a modulo per instruction is measurable
-	// on this path.
-	slotW := slot - p.Width
-	if slotW < 0 {
-		slotW += p.ROB
-	}
-	if c.slot++; c.slot == p.ROB {
-		c.slot = 0
-	}
-
-	// Fetch: bandwidth (Width per cycle), ROB occupancy, and any pending
-	// front-end redirect.
-	var ft uint64
-	if i >= uint64(p.Width) {
-		ft = c.ring[slotW].fetch + 1
-	}
-	if i >= uint64(p.ROB) {
-		if r := c.ring[slot].retire; r > ft { // retire time of inst i-ROB (same slot)
-			ft = r
-		}
-	}
-	if c.minFetch > ft {
-		ft = c.minFetch
-	}
-
-	dispatch := ft + p.FrontendDepth
-	if c.hook != nil {
-		c.hook(in, dispatch)
-	}
-
-	ready := dispatch
-	if t := c.regReady[in.Src1]; t > ready {
-		ready = t
-	}
-	if t := c.regReady[in.Src2]; t > ready {
-		ready = t
-	}
-
-	var complete uint64
-	switch in.Kind {
-	case trace.Load:
-		c.res.Loads++
-		complete = ready + c.mem.Access(in.PC, in.Addr, ready, false)
-	case trace.Store:
-		c.res.Stores++
-		lat := c.mem.Access(in.PC, in.Addr, ready, true)
-		if p.StorePorts {
-			complete = ready + 1 // retire from the store queue off-path
-		} else {
-			complete = ready + lat
-		}
-	case trace.Branch:
-		c.res.Branches++
-		complete = ready + 1
-		mis := in.Mispredict
-		if p.Pred != nil {
-			mis = p.Pred.Update(in.PC, in.Taken) || in.Mispredict
-		}
-		if mis {
-			c.res.Mispredicts++
-			redirect := complete + p.MispredPenalty
-			if redirect > c.minFetch {
-				c.minFetch = redirect
-			}
-		}
-	default:
-		lat := uint64(in.Lat)
-		if lat == 0 {
-			lat = 1
-		}
-		complete = ready + lat
-	}
-
-	if in.Dst != 0 {
-		c.regReady[in.Dst] = complete
-	}
-
-	// In-order retirement, Width per cycle.
-	rt := complete
-	if rt < c.lastRet {
-		rt = c.lastRet
-	}
-	if i >= uint64(p.Width) {
-		if t := c.ring[slotW].retire + 1; t > rt {
-			rt = t
-		}
-	}
-	c.ring[slot] = ringSlot{fetch: ft, retire: rt}
-	c.lastRet = rt
-	c.n++
-}
-
-// StepBatch processes a contiguous run of instructions. With a window sink
-// installed, dispatch events are accumulated per window — the instruction
-// slice is handed to the sink zero-copy, with per-instruction dispatch
-// cycles — and flushed before every memory access, at the window cap, and
-// at the end of the batch (the slice may be recycled by the source after
-// return, so no window outlives the call). Without a sink it degrades to
-// the scalar Step loop.
-//
-// The pipeline math is Step's, duplicated so the batch loop stays call-free
-// per instruction; the differential tests in internal/sim pin the two paths
-// to byte-identical results.
+// StepBatch processes a contiguous run of instructions; it is the core's
+// only timing loop. With a window sink installed, dispatch events are
+// accumulated per window — the instruction slice is handed to the sink
+// zero-copy, with per-instruction dispatch cycles — and flushed before every
+// memory access, at the window cap, and at the end of the batch (the slice
+// may be recycled by the source after return, so no window outlives the
+// call). Without a sink no window bookkeeping runs.
 func (c *Core) StepBatch(b []trace.Inst) {
-	if c.wsink == nil {
-		for i := range b {
-			c.Step(&b[i])
-		}
-		return
-	}
 	p := c.p
 	// Core state lives in locals for the whole batch: the sink and memory
 	// calls below never reach back into the core, but the compiler cannot see
@@ -268,6 +176,9 @@ func (c *Core) StepBatch(b []trace.Inst) {
 	wstart, wn := 0, 0
 	for i := range b {
 		in := &b[i]
+		// slotW trails slot by Width positions; both wrap by subtraction
+		// since ROB is not a power of two and a modulo per instruction is
+		// measurable on this path.
 		slotW := slot - p.Width
 		if slotW < 0 {
 			slotW += p.ROB
@@ -277,12 +188,14 @@ func (c *Core) StepBatch(b []trace.Inst) {
 			slot = 0
 		}
 
+		// Fetch: bandwidth (Width per cycle), ROB occupancy, and any pending
+		// front-end redirect.
 		var ft uint64
 		if n >= width {
 			ft = ring[slotW].fetch + 1
 		}
 		if n >= rob {
-			if r := ring[prev].retire; r > ft {
+			if r := ring[prev].retire; r > ft { // retire time of inst n-ROB (same slot)
 				ft = r
 			}
 		}
@@ -291,18 +204,18 @@ func (c *Core) StepBatch(b []trace.Inst) {
 		}
 
 		dispatch := ft + p.FrontendDepth
-		// wn < MaxWindow whenever this store runs (the flush below fires the
-		// moment wn reaches wcap <= MaxWindow), so the mask is an identity
-		// that only removes the bounds check.
-		c.wcycles[wn&(MaxWindow-1)] = dispatch
-		wn++
-		isMem := in.Kind == trace.Load || in.Kind == trace.Store
-		if isMem || wn == wcap {
-			// A memory instruction's own dispatch event is delivered (and
-			// its prefetches applied) before its demand access, exactly as
-			// the scalar hook-before-Access order does.
-			wsink.OnInstWindow(b[wstart:i+1], c.wcycles[:wn])
-			wstart, wn = i+1, 0
+		if wsink != nil {
+			// wn < MaxWindow whenever this store runs (the flush below fires
+			// the moment wn reaches wcap <= MaxWindow), so the mask is an
+			// identity that only removes the bounds check.
+			c.wcycles[wn&(MaxWindow-1)] = dispatch
+			wn++
+			if in.Kind == trace.Load || in.Kind == trace.Store || wn == wcap {
+				// A memory instruction's own dispatch event is delivered
+				// (and its prefetches applied) before its demand access.
+				wsink.OnInstWindow(b[wstart:i+1], c.wcycles[:wn])
+				wstart, wn = i+1, 0
+			}
 		}
 
 		ready := dispatch
@@ -352,6 +265,7 @@ func (c *Core) StepBatch(b []trace.Inst) {
 			c.regReady[in.Dst] = complete
 		}
 
+		// In-order retirement, Width per cycle.
 		rt := complete
 		if rt < lastRet {
 			rt = lastRet
@@ -372,30 +286,25 @@ func (c *Core) StepBatch(b []trace.Inst) {
 	}
 }
 
-// Run drains src through the core and returns the result. Sources with a
-// batch path are consumed run-at-a-time through StepBatch, skipping the
-// per-instruction interface call and copy; the instruction sequence is
-// identical.
+// Run drains src through the core and returns the result. Sources without a
+// batch path are gathered into batches by trace.Limit; the instruction
+// sequence is identical either way.
 func (c *Core) Run(src trace.Source) Result {
-	if bs, ok := src.(trace.BatchSource); ok {
-		for {
-			b := bs.NextBatch(1 << 20)
-			if len(b) == 0 {
-				break
-			}
-			c.StepBatch(b)
+	bs, ok := src.(trace.BatchSource)
+	if !ok {
+		bs = &trace.Limit{Src: src, N: math.MaxUint64}
+	}
+	for {
+		b := bs.NextBatch(1 << 20)
+		if len(b) == 0 {
+			return c.Result()
 		}
-		return c.Result()
+		c.StepBatch(b)
 	}
-	var in trace.Inst
-	for src.Next(&in) {
-		c.Step(&in)
-	}
-	return c.Result()
 }
 
 // Result returns the statistics accumulated so far. Insts and Cycles are
-// materialized here rather than stored on every Step.
+// materialized here rather than stored on every instruction.
 func (c *Core) Result() Result {
 	c.res.Insts = c.n
 	c.res.Cycles = c.lastRet

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"reflect"
 	"testing"
 
 	"divlab/internal/trace"
@@ -171,4 +172,125 @@ func TestNewPanicsOnBadParams(t *testing.T) {
 		}
 	}()
 	New(Params{}, &fixedMem{}, nil)
+}
+
+// mixedStream is a deterministic mix of ALU ops, loads, stores and branches
+// (some mispredicted) over a few dependency chains.
+func mixedStream(n int) []trace.Inst {
+	out := make([]trace.Inst, n)
+	x := uint64(88172645463325252)
+	for i := range out {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		in := trace.Inst{PC: 0x400000 + uint64(i%97)*4, Dst: trace.Reg(x % 8), Src1: trace.Reg(x >> 8 % 8), Lat: uint8(x >> 16 % 4)}
+		switch x >> 24 % 8 {
+		case 0, 1:
+			in.Kind, in.Addr = trace.Load, x>>32%(1<<20)
+		case 2:
+			in.Kind, in.Addr, in.Dst = trace.Store, x>>32%(1<<20), 0
+		case 3:
+			in.Kind, in.Taken, in.Mispredict, in.Dst = trace.Branch, x&1 == 0, x>>40%16 == 0, 0
+		}
+		out[i] = in
+	}
+	return out
+}
+
+// dispatchEvent is one instruction's dispatch as an observer sees it.
+type dispatchEvent struct{ pc, cycle uint64 }
+
+// orderMem answers with an address-derived latency and records, at every
+// access, how many dispatch events had been delivered before it.
+type orderMem struct {
+	delivered *int
+	seen      []int
+}
+
+func (m *orderMem) Access(pc, addr uint64, at uint64, store bool) uint64 {
+	m.seen = append(m.seen, *m.delivered)
+	return 3 + addr>>6%97
+}
+
+// observe runs insts from src on a fresh core, observed through a hook
+// passed to New or, with sink set, through an equivalent WindowSink.
+func observe(src trace.Source, sink bool) (Result, []dispatchEvent, []int) {
+	var evs []dispatchEvent
+	n := 0
+	hook := func(in *trace.Inst, cycle uint64) {
+		evs = append(evs, dispatchEvent{in.PC, cycle})
+		n++
+	}
+	mem := &orderMem{delivered: &n}
+	var c *Core
+	if sink {
+		c = New(DefaultParams(), mem, nil)
+		c.SetWindowSink(recordSink(hook))
+	} else {
+		c = New(DefaultParams(), mem, hook)
+	}
+	return c.Run(src), evs, mem.seen
+}
+
+// recordSink is a WindowSink written against the window contract directly.
+type recordSink func(*trace.Inst, uint64)
+
+func (s recordSink) OnInstWindow(insts []trace.Inst, cycles []uint64) {
+	if len(insts) == 0 || len(insts) != len(cycles) || len(insts) > MaxWindow {
+		panic("malformed dispatch window")
+	}
+	for i := range insts {
+		s(&insts[i], cycles[i])
+	}
+}
+
+// nextOnly hides a source's batch path, leaving Run only Next.
+type nextOnly struct{ src trace.Source }
+
+func (s nextOnly) Next(in *trace.Inst) bool { return s.src.Next(in) }
+
+// TestRunNextOnlySource: Run gathers a source without NextBatch into
+// batches; the result and the dispatch sequence must equal a batch
+// source's over the same instructions.
+func TestRunNextOnlySource(t *testing.T) {
+	insts := mixedStream(3000)
+	wantRes, wantEvs, _ := observe(&trace.SliceSource{Insts: insts}, false)
+	gotRes, gotEvs, _ := observe(nextOnly{&trace.SliceSource{Insts: insts}}, false)
+	if gotRes != wantRes {
+		t.Errorf("Next-only source: %+v, SliceSource %+v", gotRes, wantRes)
+	}
+	if len(wantEvs) != len(insts) {
+		t.Fatalf("hook saw %d of %d instructions", len(wantEvs), len(insts))
+	}
+	if !reflect.DeepEqual(gotEvs, wantEvs) {
+		t.Error("Next-only source changed the hook's (PC, cycle) sequence")
+	}
+}
+
+// TestHookMatchesWindowSink: a hook passed to New and an equivalent
+// WindowSink see the same (PC, cycle) sequence, and every memory
+// instruction's own dispatch is delivered before its access.
+func TestHookMatchesWindowSink(t *testing.T) {
+	insts := mixedStream(3000)
+	hookRes, hookEvs, hookSeen := observe(&trace.SliceSource{Insts: insts}, false)
+	sinkRes, sinkEvs, sinkSeen := observe(&trace.SliceSource{Insts: insts}, true)
+	if hookRes != sinkRes {
+		t.Errorf("hook run %+v, sink run %+v", hookRes, sinkRes)
+	}
+	if !reflect.DeepEqual(hookEvs, sinkEvs) {
+		t.Error("hook and window sink saw different (PC, cycle) sequences")
+	}
+	if !reflect.DeepEqual(hookSeen, sinkSeen) {
+		t.Error("hook and window sink were delivered at different points of the access stream")
+	}
+	k := 0
+	for i := range insts {
+		if !insts[i].IsMem() {
+			continue
+		}
+		if hookSeen[k] != i+1 {
+			t.Fatalf("access %d (inst %d) ran after %d dispatch events, want %d", k, i, hookSeen[k], i+1)
+		}
+		k++
+	}
 }

@@ -71,11 +71,10 @@ type Key struct {
 }
 
 // entry is one cache slot. The first claimant simulates and closes done;
-// later claimants block on done and read the filled result.
+// later claimants block on done and read the filled results.
 type entry struct {
-	done   chan struct{}
-	single *sim.Result
-	multi  []*sim.Result
+	done chan struct{}
+	rs   []*sim.Result
 }
 
 // Engine runs simulation jobs on a bounded worker pool with a memoized run
@@ -231,15 +230,6 @@ func (j Job) Results() int {
 	return normalize(j.Config, true).Cores
 }
 
-// MultiJob is one multicore (4-app mix) simulation request.
-//
-// Deprecated: set Job.Mix and use Engine.Run.
-type MultiJob struct {
-	Mix        workloads.Mix
-	Prefetcher sim.Named
-	Config     sim.Config
-}
-
 // normalize applies sim's own defaulting so equivalent configs share a key.
 func normalize(cfg sim.Config, multi bool) sim.Config {
 	if multi {
@@ -359,95 +349,56 @@ func (e *Engine) claim(k Key) (ent *entry, owner bool) {
 	return ent, true
 }
 
-// runSingle executes one single-core job through the cache tiers.
-func (e *Engine) runSingle(j Job) *sim.Result {
-	cfg := normalize(j.Config, false)
-	k, cacheable := keyFor(j.Workload.Name, j.Prefetcher.Name, false, cfg, j.DestTag)
+// runJob executes one job through the cache tiers — memo, then store, then
+// simulation — and returns its Job.Results() results. The slice and its
+// results are shared — read-only.
+func (e *Engine) runJob(j Job) []*sim.Result {
+	k, cacheable := KeyOf(j)
 	if !cacheable {
 		e.skips.Add(1)
-		r := sim.RunSingleOn(e.instanceFor(j.Workload, cfg.Seed, cfg.Insts), j.Workload, j.Prefetcher.Factory, cfg)
+		rs := e.simulate(j)
 		e.jobDone(false)
-		return r
+		return rs
 	}
 	ent, owner := e.claim(k)
 	if !owner {
 		e.hits.Add(1)
 		<-ent.done
 		e.jobDone(true)
-		return ent.single
+		return ent.rs
 	}
-	if rs, ok := e.storeGet(k, 1); ok {
-		ent.single = rs[0]
+	if rs, ok := e.storeGet(k, j.Results()); ok {
+		ent.rs = rs
 		close(ent.done)
 		e.jobDone(true)
-		return ent.single
+		return ent.rs
 	}
 	e.misses.Add(1)
 	func() {
 		// done must close even if the simulation panics, or waiters hang.
 		defer close(ent.done)
-		ent.single = sim.RunSingleOn(e.instanceFor(j.Workload, cfg.Seed, cfg.Insts), j.Workload, j.Prefetcher.Factory, cfg)
+		ent.rs = e.simulate(j)
 	}()
-	e.storePut(k, []*sim.Result{ent.single})
+	e.storePut(k, ent.rs)
 	e.jobDone(false)
-	return ent.single
+	return ent.rs
 }
 
-// runMulti executes one multicore job through the cache tiers. The returned
-// slice and its results are shared — read-only.
-func (e *Engine) runMulti(j Job) []*sim.Result {
+// simulate runs j over replays of its pre-recorded streams (live instances
+// where recording is over budget; RunSingleOn/RunMultiOn build those).
+func (e *Engine) simulate(j Job) []*sim.Result {
+	f := j.Prefetcher.Factory
+	if !j.isMix() {
+		cfg := normalize(j.Config, false)
+		inst := e.instanceFor(j.Workload, cfg.Seed, cfg.Insts)
+		return []*sim.Result{sim.RunSingleOn(inst, j.Workload, f, cfg)}
+	}
 	cfg := normalize(j.Config, true)
-	k, cacheable := keyFor(j.Mix.Name, j.Prefetcher.Name, true, cfg, j.DestTag)
-	if !cacheable {
-		e.skips.Add(1)
-		r := sim.RunMultiOn(e.mixInstances(j.Mix, cfg), j.Mix, j.Prefetcher.Factory, cfg)
-		e.jobDone(false)
-		return r
-	}
-	ent, owner := e.claim(k)
-	if !owner {
-		e.hits.Add(1)
-		<-ent.done
-		e.jobDone(true)
-		return ent.multi
-	}
-	if rs, ok := e.storeGet(k, cfg.Cores); ok {
-		ent.multi = rs
-		close(ent.done)
-		e.jobDone(true)
-		return ent.multi
-	}
-	e.misses.Add(1)
-	func() {
-		defer close(ent.done)
-		ent.multi = sim.RunMultiOn(e.mixInstances(j.Mix, cfg), j.Mix, j.Prefetcher.Factory, cfg)
-	}()
-	e.storePut(k, ent.multi)
-	e.jobDone(false)
-	return ent.multi
-}
-
-// Single runs (or returns the memoized result of) one single-core job.
-//
-// Deprecated: use Engine.Run.
-func (e *Engine) Single(j Job) *sim.Result { return e.runSingle(j) }
-
-// Multi runs (or returns the memoized result of) one multicore job. The
-// returned slice and its results are shared — read-only.
-//
-// Deprecated: set Job.Mix and use Engine.Run.
-func (e *Engine) Multi(j MultiJob) []*sim.Result {
-	return e.runMulti(Job{Mix: j.Mix, Prefetcher: j.Prefetcher, Config: j.Config})
-}
-
-// mixInstances returns per-core replay cursors for a mix's apps (nil slots
-// where recording is over budget; RunMultiOn then builds those live).
-func (e *Engine) mixInstances(mix workloads.Mix, cfg sim.Config) []workloads.Instance {
-	insts := make([]workloads.Instance, len(mix.Apps))
-	for i, app := range mix.Apps {
+	insts := make([]workloads.Instance, len(j.Mix.Apps))
+	for i, app := range j.Mix.Apps {
 		insts[i] = e.instanceFor(app, sim.MixSeed(cfg, i), cfg.Insts)
 	}
-	return insts
+	return sim.RunMultiOn(insts, j.Mix, f, cfg)
 }
 
 // Run executes the jobs on the worker pool and returns results flattened in
@@ -469,39 +420,8 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []*sim.Result {
 		if ctx != nil && ctx.Err() != nil {
 			return
 		}
-		if j := jobs[i]; j.isMix() {
-			copy(out[offs[i]:offs[i+1]], e.runMulti(j))
-		} else {
-			out[offs[i]] = e.runSingle(j)
-		}
+		copy(out[offs[i]:offs[i+1]], e.runJob(jobs[i]))
 	})
-	return out
-}
-
-// RunBatch executes the jobs on the pool and returns results in job order.
-// Duplicate keys within a batch simulate once.
-//
-// Deprecated: use Engine.Run.
-func (e *Engine) RunBatch(jobs []Job) []*sim.Result {
-	return e.Run(context.Background(), jobs)
-}
-
-// RunMultiBatch is RunBatch for multicore jobs.
-//
-// Deprecated: set Job.Mix and use Engine.Run.
-func (e *Engine) RunMultiBatch(jobs []MultiJob) [][]*sim.Result {
-	flat := make([]Job, len(jobs))
-	for i, j := range jobs {
-		flat[i] = Job{Mix: j.Mix, Prefetcher: j.Prefetcher, Config: j.Config}
-	}
-	res := e.Run(context.Background(), flat)
-	out := make([][]*sim.Result, len(jobs))
-	off := 0
-	for i := range flat {
-		n := flat[i].Results()
-		out[i] = res[off : off+n]
-		off += n
-	}
 	return out
 }
 

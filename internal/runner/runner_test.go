@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -25,11 +26,16 @@ func testJob(t *testing.T, workload, pf string, insts uint64) Job {
 	return Job{Workload: w, Prefetcher: p, Config: sim.DefaultConfig(insts)}
 }
 
+// runOne runs one single-core job through Engine.Run.
+func runOne(e *Engine, j Job) *sim.Result {
+	return e.Run(context.Background(), []Job{j})[0]
+}
+
 func TestSingleMemoizes(t *testing.T) {
 	e := New(WithWorkers(2))
 	j := testJob(t, "stream.pure", "tpc", 20_000)
-	a := e.Single(j)
-	b := e.Single(j)
+	a := runOne(e, j)
+	b := runOne(e, j)
 	if a != b {
 		t.Error("same key must return the cached result pointer")
 	}
@@ -49,7 +55,7 @@ func TestDistinctKeysDistinctRuns(t *testing.T) {
 	b.Config.Seed = 2
 	c := a
 	c.Config.CollectFootprint = true
-	if e.Single(a) == e.Single(b) || e.Single(a) == e.Single(c) {
+	if runOne(e, a) == runOne(e, b) || runOne(e, a) == runOne(e, c) {
 		t.Error("different seed/footprint must not share cache slots")
 	}
 	if hits, misses := e.Stats(); misses != 3 || hits != 1 {
@@ -66,7 +72,7 @@ func TestBatchOrderAndDedup(t *testing.T) {
 	}
 	// Duplicate the whole batch: the second half must dedupe onto the first.
 	jobs = append(jobs, jobs...)
-	res := e.RunBatch(jobs)
+	res := e.Run(context.Background(), jobs)
 	if len(res) != len(jobs) {
 		t.Fatalf("got %d results for %d jobs", len(res), len(jobs))
 	}
@@ -94,8 +100,8 @@ func TestParallelMatchesSerial(t *testing.T) {
 	for _, n := range names {
 		jobs = append(jobs, testJob(t, n, "none", 15_000), testJob(t, n, "ampm", 15_000))
 	}
-	serial := New(WithWorkers(1)).RunBatch(jobs)
-	parallel := New(WithWorkers(8)).RunBatch(jobs)
+	serial := New(WithWorkers(1)).Run(context.Background(), jobs)
+	parallel := New(WithWorkers(8)).Run(context.Background(), jobs)
 	for i := range jobs {
 		s, p := serial[i], parallel[i]
 		if s.Core != p.Core || s.L1Misses != p.L1Misses || s.L2Misses != p.L2Misses ||
@@ -109,7 +115,7 @@ func TestUncacheableDestOverride(t *testing.T) {
 	e := New(WithWorkers(1))
 	j := testJob(t, "stream.pure", "tpc", 15_000)
 	j.Config.DestOverride = func(prefetch.Request, workloads.Category) mem.Level { return mem.L2 }
-	if e.Single(j) == e.Single(j) {
+	if runOne(e, j) == runOne(e, j) {
 		t.Error("unnamed DestOverride must bypass the cache")
 	}
 	if hits, _ := e.Stats(); hits != 0 {
@@ -118,7 +124,7 @@ func TestUncacheableDestOverride(t *testing.T) {
 
 	// A tagged override is cacheable.
 	j.DestTag = "L2"
-	if e.Single(j) != e.Single(j) {
+	if runOne(e, j) != runOne(e, j) {
 		t.Error("tagged DestOverride must memoize")
 	}
 }
@@ -132,19 +138,19 @@ func TestMultiBatch(t *testing.T) {
 	tpc, _ := sim.ByName("tpc")
 	cfg := sim.DefaultConfig(15_000)
 	cfg.Cores = 4
-	jobs := []MultiJob{
+	jobs := []Job{
 		{Mix: mix, Prefetcher: sim.Baseline(), Config: cfg},
 		{Mix: mix, Prefetcher: tpc, Config: cfg},
 		{Mix: mix, Prefetcher: sim.Baseline(), Config: cfg}, // dupe of job 0
 	}
-	res := e.RunMultiBatch(jobs)
-	if len(res) != 3 || len(res[0]) != 4 {
-		t.Fatalf("bad shape: %d batches, %d cores", len(res), len(res[0]))
+	res := e.Run(context.Background(), jobs)
+	if len(res) != 12 {
+		t.Fatalf("bad shape: %d results, want 3 jobs x 4 cores", len(res))
 	}
-	if res[0][0] != res[2][0] {
+	if res[0] != res[8] {
 		t.Error("duplicate multi job not served from cache")
 	}
-	for i, r := range res[0] {
+	for i, r := range res[:4] {
 		if r.Core.Insts != cfg.Insts {
 			t.Errorf("core %d retired %d of %d", i, r.Core.Insts, cfg.Insts)
 		}
@@ -164,7 +170,7 @@ func TestConcurrentSingleCallers(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i] = e.Single(j)
+			results[i] = runOne(e, j)
 		}(i)
 	}
 	wg.Wait()
@@ -205,7 +211,7 @@ func TestTraceKeySeparation(t *testing.T) {
 	traced := plain
 	traced.Config.TraceLifecycle = true
 
-	p, tr := e.Single(plain), e.Single(traced)
+	p, tr := runOne(e, plain), runOne(e, traced)
 	if p == tr {
 		t.Error("traced and untraced runs must not share a cache slot")
 	}
@@ -215,15 +221,15 @@ func TestTraceKeySeparation(t *testing.T) {
 	if tr.Lifecycle == nil {
 		t.Error("traced run lost its lifecycle counters")
 	}
-	if tr2 := e.Single(traced); tr2 != tr {
+	if tr2 := runOne(e, traced); tr2 != tr {
 		t.Error("traced runs are deterministic and must still memoize")
 	}
 
 	sinky := traced
 	sinky.Config.TraceSink = &nullSink{}
 	before, _ := e.Stats()
-	e.Single(sinky)
-	e.Single(sinky)
+	runOne(e, sinky)
+	runOne(e, sinky)
 	after, _ := e.Stats()
 	if after != before {
 		t.Error("runs with a live event sink must bypass the cache")
@@ -243,18 +249,18 @@ func TestProgressTicks(t *testing.T) {
 	e.SetProgress(p)
 
 	j := testJob(t, "stream.pure", "tpc", 20_000)
-	e.Single(j)
-	e.Single(j) // cache hit
+	runOne(e, j)
+	runOne(e, j) // cache hit
 	un := j
 	un.Config.TraceSink = &nullSink{} // uncacheable
-	e.Single(un)
+	runOne(e, un)
 
 	jobs, hits, sims, _ := p.Snapshot()
 	if jobs != 3 || hits != 1 || sims != 2 {
 		t.Errorf("progress jobs=%d hits=%d sims=%d, want 3/1/2", jobs, hits, sims)
 	}
 	e.SetProgress(nil)
-	e.Single(j)
+	runOne(e, j)
 	if got, _, _, _ := p.Snapshot(); got != 3 {
 		t.Error("removed progress counter still ticking")
 	}

@@ -212,7 +212,7 @@ func TestStoreKeyMismatchIsMiss(t *testing.T) {
 	}
 
 	e := New(WithStore(st))
-	e.Single(j)
+	runOne(e, j)
 	s := e.StoreStats()
 	if s.Hits != 0 || s.Errs != 1 {
 		t.Errorf("stats %+v: mismatched key must be a counted miss, not a hit", s)
@@ -229,7 +229,7 @@ func TestStoreSkipsTracedRuns(t *testing.T) {
 	j := testJob(t, "stream.pure", "tpc", 15_000)
 	j.Config.TraceLifecycle = true
 	e := New(WithStore(st))
-	if r := e.Single(j); r.Lifecycle == nil {
+	if r := runOne(e, j); r.Lifecycle == nil {
 		t.Fatal("traced run lost its lifecycle")
 	}
 	if s := e.StoreStats(); s.Puts != 0 || s.Errs != 0 {
@@ -264,8 +264,9 @@ func TestRunFlattensMixes(t *testing.T) {
 			t.Fatalf("result %d is nil", i)
 		}
 	}
-	// Slots 1..4 are the mix cores; they must match the deprecated path.
-	multi := e.Multi(MultiJob{Mix: mix, Prefetcher: sim.Baseline(), Config: cfg})
+	// Slots 1..4 are the mix cores; running the mix job alone must serve
+	// the same memoized results.
+	multi := e.Run(context.Background(), jobs[1:2])
 	for i := 0; i < 4; i++ {
 		if res[1+i] != multi[i] {
 			t.Errorf("mix core %d not shared with the memoized multi result", i)

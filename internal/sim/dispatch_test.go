@@ -4,31 +4,74 @@ import (
 	"reflect"
 	"testing"
 
+	"divlab/internal/prefetch"
+	"divlab/internal/trace"
 	"divlab/internal/workloads"
 )
 
-// runRecordedDispatch replays rec under the given dispatch mode: scalar
-// forces the per-instruction hook and per-event adapter path, window (when
-// nonzero) overrides the core's dispatch-window cap so batch boundaries
-// move. The debug globals are restored before returning.
+// scalarComp hides a component's native batch paths, so the simulator
+// delivers every demand access through the scalar OnAccess adapter. SetID
+// and Children are forwarded so AssignIDs gives the wrapped tree exactly
+// the ids the unwrapped one gets.
+type scalarComp struct{ prefetch.Component }
+
+func (s scalarComp) SetID(id int) { s.Component.(interface{ SetID(int) }).SetID(id) }
+
+func (s scalarComp) Children() []prefetch.Component {
+	if p, ok := s.Component.(prefetch.Parent); ok {
+		return p.Children()
+	}
+	return nil
+}
+
+// scalarInstComp is scalarComp for instruction observers: instructions go
+// through the scalar OnInst adapter.
+type scalarInstComp struct{ scalarComp }
+
+func (s scalarInstComp) OnInst(in *trace.Inst, cycle uint64, issue prefetch.Issuer) {
+	s.Component.(prefetch.InstObserver).OnInst(in, cycle, issue)
+}
+
+// scalarOnly wraps every component f builds in the scalar-only view.
+func scalarOnly(f Factory) Factory {
+	return func(inst workloads.Instance) prefetch.Component {
+		c := scalarComp{f(inst)}
+		if _, ok := c.Component.(prefetch.InstObserver); ok {
+			return scalarInstComp{c}
+		}
+		return c
+	}
+}
+
+// runRecordedDispatch replays rec under the given dispatch mode. The scalar
+// reference wraps the component in scalarOnly and runs at window cap 1, so
+// every event reaches it one at a time through the scalar hooks; otherwise
+// the native batch paths run and window (when nonzero) overrides the core's
+// window cap so batch boundaries move. debugInstWindow is restored before
+// returning.
 func runRecordedDispatch(t testing.TB, rec *Recorded, w workloads.Workload, spec string, cfg Config, scalar bool, window int) *Result {
 	t.Helper()
-	oldS, oldW := debugScalarDispatch, debugInstWindow
-	debugScalarDispatch, debugInstWindow = scalar, window
-	defer func() { debugScalarDispatch, debugInstWindow = oldS, oldW }()
 	p, err := ByName(spec)
 	if err != nil {
 		t.Fatalf("ByName(%q): %v", spec, err)
 	}
-	return RunSingleOn(rec.Instance(), w, p.Factory, cfg)
+	f := p.Factory
+	if scalar {
+		f, window = scalarOnly(f), 1
+	}
+	old := debugInstWindow
+	debugInstWindow = window
+	defer func() { debugInstWindow = old }()
+	return RunSingleOn(rec.Instance(), w, f, cfg)
 }
 
-// TestDispatchDifferential pins batched event dispatch to the scalar path:
-// the same recorded trace must produce identical results — every counter,
-// per-owner split, and prefetch-lifecycle fate included — whichever way
-// events are delivered. This is the contract that makes window placement
-// unobservable (windows flush before every demand access, at the cap, and
-// at batch boundaries — all points where the scalar path had drained).
+// TestDispatchDifferential pins batched event dispatch to the scalar
+// reference: the same recorded trace must produce identical results — every
+// counter, per-owner split, and prefetch-lifecycle fate included — whether
+// events reach the component through its native batch paths in full windows
+// or one at a time through its scalar hooks. This is the contract that makes
+// window placement unobservable (windows flush before every demand access,
+// at the cap, and at batch boundaries).
 func TestDispatchDifferential(t *testing.T) {
 	const n = 25_000
 	cfg := DefaultConfig(n)
@@ -86,8 +129,8 @@ func TestDispatchDifferentialFootprint(t *testing.T) {
 }
 
 // FuzzDispatchWindow fuzzes the batch-boundary placement: any dispatch
-// window cap in [1, MaxWindow] must leave the result pinned to the scalar
-// reference. A cap of 1 makes every window a single instruction (maximum
+// window cap in [1, MaxWindow] on the native batch paths must leave the
+// result pinned to the scalar reference. A cap of 1 makes every window a single instruction (maximum
 // flush pressure); odd caps shift every boundary relative to the instruction
 // stream.
 func FuzzDispatchWindow(f *testing.F) {

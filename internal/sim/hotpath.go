@@ -2,7 +2,6 @@ package sim
 
 import (
 	"divlab/internal/mem"
-	"divlab/internal/prefetch"
 	"divlab/internal/trace"
 	"divlab/internal/workloads"
 )
@@ -16,29 +15,16 @@ import (
 // ids.
 type HotPath struct {
 	r   *runner
-	sys *mem.System
 	at  uint64
+	win [1]trace.Inst
+	cyc [1]uint64
 }
 
 // NewHotPath builds the hot-path harness for one workload and prefetcher
 // factory (nil for the no-prefetch baseline).
 func NewHotPath(w workloads.Workload, factory Factory, cfg Config) *HotPath {
-	if cfg.Cores == 0 {
-		cfg.Cores = 1
-	}
-	inst := w.New(cfg.Seed)
 	sys := mem.NewSystem(mem.DefaultConfig(1), cfg.DropPolicy, cfg.Seed)
-	hier := mem.NewHierarchy(mem.DefaultConfig(1), sys)
-
-	var comp prefetch.Component
-	names := map[int]string{}
-	if factory != nil {
-		comp = factory(inst)
-		names = prefetch.AssignIDs(comp, 1)
-	}
-	res := newResult(cfg, names)
-	attachLifecycle(cfg, hier, res, names)
-	return &HotPath{r: newRunner(cfg, inst, hier, comp, res), sys: sys}
+	return &HotPath{r: wire(cfg, 1, sys, w.New(cfg.Seed), factory)}
 }
 
 // Access performs one demand access at the internal clock, advances the
@@ -51,11 +37,15 @@ func (h *HotPath) Access(pc, addr uint64, store bool) uint64 {
 	return lat
 }
 
-// OnInst feeds one instruction through the dispatch-time hook (the path
-// T2's loop hardware and P1's taint unit observe), draining any prefetches
-// it issues.
+// OnInst delivers one instruction as a one-instruction dispatch window (the
+// path T2's loop hardware and P1's taint unit observe), draining any
+// prefetches it issues.
 func (h *HotPath) OnInst(in *trace.Inst) {
-	h.r.hook(in, h.at)
+	if h.r.pfInst == nil {
+		return
+	}
+	h.win[0], h.cyc[0] = *in, h.at
+	h.r.OnInstWindow(h.win[:], h.cyc[:])
 }
 
 // Result exposes the accumulating measurements (read-only).

@@ -177,11 +177,6 @@ func (r *Result) MPKI() float64 {
 	return float64(r.L1Misses) * 1000 / float64(r.Core.Insts)
 }
 
-// debugScalarDispatch, when set (tests only), forces the scalar adapter path
-// for every component — native OnAccessBatch/OnInstBatch implementations are
-// ignored — so the differential tests can compare the two dispatch modes.
-var debugScalarDispatch bool
-
 // debugInstWindow, when nonzero (tests only), overrides the core's
 // instruction-window cap so the fuzz tests can vary batch boundaries.
 var debugInstWindow int
@@ -217,17 +212,9 @@ type runner struct {
 func newRunner(cfg Config, inst workloads.Instance, hier *mem.Hierarchy, pf prefetch.Component, res *Result) *runner {
 	r := &runner{cfg: cfg, inst: inst, hier: hier, pf: pf, res: res}
 	r.sink.Init(r)
-	if o, ok := pf.(prefetch.InstObserver); ok {
-		r.pfInst = o
-	}
-	if !debugScalarDispatch {
-		if b, ok := pf.(prefetch.BatchComponent); ok {
-			r.pfBatch = b
-		}
-		if b, ok := pf.(prefetch.BatchInstObserver); ok {
-			r.pfInstB = b
-		}
-	}
+	r.pfInst, _ = pf.(prefetch.InstObserver)
+	r.pfBatch, _ = pf.(prefetch.BatchComponent)
+	r.pfInstB, _ = pf.(prefetch.BatchInstObserver)
 	return r
 }
 
@@ -275,25 +262,10 @@ func (r *runner) Access(pc, addr uint64, at uint64, store bool) uint64 {
 	return lat
 }
 
-// hook is the core's scalar dispatch-time instruction hook (non-batch
-// sources and the scalar-dispatch test mode).
-func (r *runner) hook(in *trace.Inst, cycle uint64) {
-	if r.pfInst == nil {
-		return
-	}
-	r.sink.Advance(cycle)
-	r.pfInst.OnInst(in, cycle, r.sink.Issuer())
-	if r.sink.Len() != 0 {
-		r.drainSink()
-	}
-}
-
 // OnInstWindow implements cpu.WindowSink: one delivery call per dispatch
-// window instead of one hook call per instruction.
+// window. The core only has it installed when the component observes
+// instructions.
 func (r *runner) OnInstWindow(insts []trace.Inst, cycles []uint64) {
-	if r.pfInst == nil {
-		return
-	}
 	prefetch.InstBatch(r.pfInst, r.pfInstB, insts, cycles, &r.sink)
 	if r.sink.Len() != 0 {
 		r.drainSink()
@@ -305,9 +277,9 @@ func (r *runner) OnInstWindow(insts []trace.Inst, cycles []uint64) {
 func (r *runner) FlushSink() { r.drainSink() }
 
 // drainSink applies every collected request at its own event's cycle. The
-// apply order and timestamps are exactly the scalar path's: requests were
-// collected event by event, and the scalar queue drained after each event
-// with that event's cycle.
+// apply order and timestamps are those of delivering one event at a time
+// and draining after each: requests were collected event by event, each
+// stamped with its event's cycle.
 func (r *runner) drainSink() {
 	res := r.res
 	reqs, ats := r.sink.Requests()
@@ -343,26 +315,6 @@ func (r *runner) drainSink() {
 		}
 	}
 	r.sink.Reset()
-}
-
-// newCore builds the core over one runner, wiring batched dispatch: the
-// window sink carries instruction batches when an instruction observer is
-// present, and the scalar hook stays installed for non-batch sources. With
-// no instruction observer neither is set, so the core pays nothing per
-// instruction for dispatch-time snooping.
-func newCore(params cpu.Params, r *runner) *cpu.Core {
-	var hook cpu.InstHook
-	if r.pfInst != nil {
-		hook = r.hook
-	}
-	core := cpu.New(params, r, hook)
-	if r.pfInst != nil && !debugScalarDispatch {
-		core.SetWindowSink(r)
-	}
-	if debugInstWindow > 0 {
-		core.SetWindowCap(debugInstWindow)
-	}
-	return core
 }
 
 // slot returns the Attempted-mask bit position for a component id.
@@ -424,6 +376,113 @@ func closeLifecycle(res *Result) {
 	}
 }
 
+// wire builds one core's half of a system over the shared levels in sys: a
+// private hierarchy, the prefetcher built from factory with component ids
+// from 1, the result (with its lifecycle tracker when traced), and the
+// runner binding them.
+func wire(cfg Config, cores int, sys *mem.System, inst workloads.Instance, factory Factory) *runner {
+	hier := mem.NewHierarchy(mem.DefaultConfig(cores), sys)
+	var comp prefetch.Component
+	names := map[int]string{}
+	if factory != nil {
+		comp = factory(inst)
+		names = prefetch.AssignIDs(comp, 1)
+	}
+	res := newResult(cfg, names)
+	attachLifecycle(cfg, hier, res, names)
+	return newRunner(cfg, inst, hier, comp, res)
+}
+
+// quantum is the instruction count a core runs per scheduling pick. The
+// interleaving of cores is observable through the shared L3 and DRAM, so
+// changing it changes multi-core results.
+const quantum = 64
+
+// run simulates insts[i] on core i, all cores sharing one L3 and DRAM, for
+// cfg.Insts instructions each, and returns the per-core results.
+func run(insts []workloads.Instance, factory Factory, cfg Config) []*Result {
+	if cfg.CoreParams.Width == 0 {
+		cfg.CoreParams = cpu.DefaultParams()
+	}
+	cores := len(insts)
+	sys := mem.NewSystem(mem.DefaultConfig(cores), cfg.DropPolicy, cfg.Seed)
+	type coreState struct {
+		r    *runner
+		core *cpu.Core
+		src  *trace.Limit
+		done bool
+	}
+	states := make([]coreState, cores)
+	for i, inst := range insts {
+		r := wire(cfg, cores, sys, inst, factory)
+		params := cfg.CoreParams
+		if cfg.UseBPred {
+			params.Pred = bpred.New()
+		}
+		core := cpu.New(params, r, nil)
+		// Dispatch windows exist only for components that observe
+		// instructions; every other run pays nothing per instruction for
+		// dispatch-time snooping.
+		if r.pfInst != nil {
+			core.SetWindowSink(r)
+		}
+		if debugInstWindow > 0 {
+			core.SetWindowCap(debugInstWindow)
+		}
+		states[i] = coreState{r: r, core: core, src: &trace.Limit{Src: inst, N: cfg.Insts}}
+	}
+
+	// Advance the core that is furthest behind in simulated time so shared
+	// resources see accesses in approximate time order.
+	for {
+		pick := -1
+		var minCycle uint64 = ^uint64(0)
+		for i := range states {
+			if states[i].done {
+				continue
+			}
+			if c := states[i].core.Cycle(); c < minCycle {
+				minCycle, pick = c, i
+			}
+		}
+		if pick < 0 {
+			break
+		}
+		st := &states[pick]
+		// A short NextBatch (a phase-buffer boundary) is topped up rather
+		// than ending the turn early, so every pick runs exactly quantum
+		// instructions.
+		for k := 0; k < quantum; {
+			b := st.src.NextBatch(quantum - k)
+			if len(b) == 0 {
+				st.done = true
+				break
+			}
+			st.core.StepBatch(b)
+			k += len(b)
+		}
+	}
+
+	results := make([]*Result, cores)
+	for i := range states {
+		st := &states[i]
+		res, hier := st.r.res, st.r.hier
+		res.Core = st.core.Result()
+		closeLifecycle(res)
+		res.Issued = hier.Stats.PrefetchesIssued
+		res.Filtered = hier.Stats.PrefetchesFiltered
+		res.L1Stats = hier.L1D.Stats
+		res.L2Stats = hier.L2.Stats
+		// Shared traffic is system-wide; attribute the total to each result
+		// so suite aggregation can normalize consistently.
+		res.Traffic = sys.Mem.Stats.Lines()
+		res.Dropped = sys.Mem.Stats.DroppedPrefetches
+		res.DRAM = sys.Mem.Stats
+		results[i] = res
+	}
+	return results
+}
+
 // RunSingle executes one workload on one core with the given prefetcher
 // factory (nil for the no-prefetch baseline).
 func RunSingle(w workloads.Workload, factory Factory, cfg Config) *Result {
@@ -434,45 +493,10 @@ func RunSingle(w workloads.Workload, factory Factory, cfg Config) *Result {
 // runner's pre-recorded replays enter here. A nil inst builds the workload
 // live, exactly as RunSingle always has.
 func RunSingleOn(inst workloads.Instance, w workloads.Workload, factory Factory, cfg Config) *Result {
-	if cfg.Cores == 0 {
-		cfg.Cores = 1
-	}
-	if cfg.CoreParams.Width == 0 {
-		cfg.CoreParams = cpu.DefaultParams()
-	}
 	if inst == nil {
 		inst = w.New(cfg.Seed)
 	}
-	sys := mem.NewSystem(mem.DefaultConfig(1), cfg.DropPolicy, cfg.Seed)
-	hier := mem.NewHierarchy(mem.DefaultConfig(1), sys)
-
-	var comp prefetch.Component
-	names := map[int]string{}
-	if factory != nil {
-		comp = factory(inst)
-		names = prefetch.AssignIDs(comp, 1)
-	}
-	res := newResult(cfg, names)
-	attachLifecycle(cfg, hier, res, names)
-	r := newRunner(cfg, inst, hier, comp, res)
-
-	params := cfg.CoreParams
-	if cfg.UseBPred {
-		params.Pred = bpred.New()
-	}
-	core := newCore(params, r)
-	src := &trace.Limit{Src: inst, N: cfg.Insts}
-	res.Core = core.Run(src)
-	closeLifecycle(res)
-
-	res.Traffic = sys.Mem.Stats.Lines()
-	res.Issued = hier.Stats.PrefetchesIssued
-	res.Filtered = hier.Stats.PrefetchesFiltered
-	res.Dropped = sys.Mem.Stats.DroppedPrefetches
-	res.L1Stats = hier.L1D.Stats
-	res.L2Stats = hier.L2.Stats
-	res.DRAM = sys.Mem.Stats
-	return res
+	return run([]workloads.Instance{inst}, factory, cfg)[0]
 }
 
 // RunMulti executes a 4-app mix on `cores` cores sharing L3 and DRAM; each
@@ -494,97 +518,14 @@ func RunMultiOn(insts []workloads.Instance, mix workloads.Mix, factory Factory, 
 	if cores <= 0 || cores > 4 {
 		cores = 4
 	}
-	if cfg.CoreParams.Width == 0 {
-		cfg.CoreParams = cpu.DefaultParams()
-	}
-	sys := mem.NewSystem(mem.DefaultConfig(cores), cfg.DropPolicy, cfg.Seed)
-
-	type coreState struct {
-		r    *runner
-		core *cpu.Core
-		src  *trace.Limit
-		done bool
-	}
-	states := make([]*coreState, cores)
-	results := make([]*Result, cores)
-	for i := 0; i < cores; i++ {
-		var inst workloads.Instance
-		if i < len(insts) {
-			inst = insts[i]
-		}
-		if inst == nil {
-			inst = mix.Apps[i].New(MixSeed(cfg, i))
-		}
-		hier := mem.NewHierarchy(mem.DefaultConfig(cores), sys)
-		var comp prefetch.Component
-		names := map[int]string{}
-		if factory != nil {
-			comp = factory(inst)
-			names = prefetch.AssignIDs(comp, 1)
-		}
-		res := newResult(cfg, names)
-		attachLifecycle(cfg, hier, res, names)
-		r := newRunner(cfg, inst, hier, comp, res)
-		params := cfg.CoreParams
-		if cfg.UseBPred {
-			params.Pred = bpred.New()
-		}
-		states[i] = &coreState{
-			r:    r,
-			core: newCore(params, r),
-			src:  &trace.Limit{Src: inst, N: cfg.Insts},
-		}
-		results[i] = res
-	}
-
-	// Advance the core that is furthest behind in simulated time so shared
-	// resources see accesses in approximate time order.
-	for {
-		pick := -1
-		var minCycle uint64 = ^uint64(0)
-		for i, st := range states {
-			if st.done {
-				continue
-			}
-			if c := st.core.Cycle(); c < minCycle {
-				minCycle, pick = c, i
-			}
-		}
-		if pick < 0 {
-			break
-		}
-		st := states[pick]
-		// Step a small batch to amortize scheduling. The quantum must stay
-		// exactly 64 instructions per pick: shared L3/DRAM state makes the
-		// interleaving observable, so a short NextBatch (a phase-buffer
-		// boundary) is topped up rather than ending the turn early.
-		for k := 0; k < 64; {
-			b := st.src.NextBatch(64 - k)
-			if len(b) == 0 {
-				st.done = true
-				break
-			}
-			st.core.StepBatch(b)
-			k += len(b)
+	all := make([]workloads.Instance, cores)
+	copy(all, insts)
+	for i := range all {
+		if all[i] == nil {
+			all[i] = mix.Apps[i].New(MixSeed(cfg, i))
 		}
 	}
-
-	for i, st := range states {
-		results[i].Core = st.core.Result()
-		closeLifecycle(results[i])
-		results[i].Issued = st.r.hier.Stats.PrefetchesIssued
-		results[i].Filtered = st.r.hier.Stats.PrefetchesFiltered
-		results[i].L1Stats = st.r.hier.L1D.Stats
-		results[i].L2Stats = st.r.hier.L2.Stats
-	}
-	// Shared traffic is system-wide; attribute the total to each result so
-	// suite aggregation can normalize consistently.
-	for i := range results {
-		results[i].Traffic = sys.Mem.Stats.Lines()
-		results[i].Dropped = sys.Mem.Stats.DroppedPrefetches
-		results[i].DRAM = sys.Mem.Stats
-	}
-	return results
+	return run(all, factory, cfg)
 }
 
 // traceInstance adapts a loaded trace file to the workload interface.
@@ -601,42 +542,12 @@ func (t *traceInstance) Classify(cache.Line) workloads.Category { return workloa
 
 // RunTrace replays a captured trace file on one core with the given
 // prefetcher factory (nil for the no-prefetch baseline). The trace is
-// rewound first, so the same FileTrace can be replayed repeatedly.
+// rewound first, so the same FileTrace can be replayed repeatedly. A zero
+// cfg.Insts, or one past the end of the trace, replays all of it.
 func RunTrace(ft *trace.FileTrace, factory Factory, cfg Config) *Result {
 	ft.Reset()
-	if cfg.CoreParams.Width == 0 {
-		cfg.CoreParams = cpu.DefaultParams()
+	if n := uint64(len(ft.Insts)); cfg.Insts == 0 || cfg.Insts > n {
+		cfg.Insts = n
 	}
-	inst := &traceInstance{ft: ft}
-	sys := mem.NewSystem(mem.DefaultConfig(1), cfg.DropPolicy, cfg.Seed)
-	hier := mem.NewHierarchy(mem.DefaultConfig(1), sys)
-
-	var comp prefetch.Component
-	names := map[int]string{}
-	if factory != nil {
-		comp = factory(inst)
-		names = prefetch.AssignIDs(comp, 1)
-	}
-	res := newResult(cfg, names)
-	attachLifecycle(cfg, hier, res, names)
-	r := newRunner(cfg, inst, hier, comp, res)
-	params := cfg.CoreParams
-	if cfg.UseBPred {
-		params.Pred = bpred.New()
-	}
-	core := newCore(params, r)
-	n := cfg.Insts
-	if n == 0 || n > uint64(len(ft.Insts)) {
-		n = uint64(len(ft.Insts))
-	}
-	res.Core = core.Run(&trace.Limit{Src: inst, N: n})
-	closeLifecycle(res)
-	res.Traffic = sys.Mem.Stats.Lines()
-	res.Issued = hier.Stats.PrefetchesIssued
-	res.Filtered = hier.Stats.PrefetchesFiltered
-	res.Dropped = sys.Mem.Stats.DroppedPrefetches
-	res.L1Stats = hier.L1D.Stats
-	res.L2Stats = hier.L2.Stats
-	res.DRAM = sys.Mem.Stats
-	return res
+	return run([]workloads.Instance{&traceInstance{ft: ft}}, factory, cfg)[0]
 }

@@ -1,10 +1,16 @@
 package sim
 
 import (
+	"bytes"
 	"testing"
 
+	"divlab/internal/cache"
+	"divlab/internal/cpu"
+	"divlab/internal/dram"
 	"divlab/internal/mem"
 	"divlab/internal/prefetch"
+	"divlab/internal/trace"
+	"divlab/internal/vmem"
 	"divlab/internal/workloads"
 )
 
@@ -187,5 +193,57 @@ func TestBranchPredictorMode(t *testing.T) {
 	}
 	if predMode.Core.Insts != cfg.Insts {
 		t.Error("run truncated")
+	}
+}
+
+// TestRunTraceMatchesRunSingle: a workload captured to a trace file (with
+// the pointer words P1 dereferences) and replayed through RunTrace must
+// simulate exactly as the live workload does through RunSingle. Category
+// counters are left out: trace files carry no ground truth, so trace mode
+// classifies every line as HHF.
+func TestRunTraceMatchesRunSingle(t *testing.T) {
+	const n = 30_000
+	cfg := DefaultConfig(n)
+	type view struct {
+		Core                                          cpu.Result
+		L1Stats, L2Stats                              cache.Stats
+		DRAM                                          dram.Stats
+		Traffic, Issued, Filtered, L1Misses, L2Misses uint64
+	}
+	project := func(r *Result) view {
+		return view{r.Core, r.L1Stats, r.L2Stats, r.DRAM, r.Traffic, r.Issued, r.Filtered, r.L1Misses, r.L2Misses}
+	}
+	for _, name := range []string{"stream.pure", "chase.rand", "aop.rand", "mix.phases"} {
+		w, ok := workloads.ByName(name)
+		if !ok {
+			t.Fatalf("unknown workload %q", name)
+		}
+		inst := w.New(cfg.Seed)
+		var words map[uint64]uint64
+		switch m := inst.Memory().(type) {
+		case *vmem.Sparse:
+			words = m.Words()
+		case vmem.Empty:
+		default:
+			t.Fatalf("%s: memory %T has no word list to capture", name, m)
+		}
+		var buf bytes.Buffer
+		if wrote, err := trace.WriteTrace(&buf, inst, words, n); err != nil || wrote != n {
+			t.Fatalf("%s: WriteTrace wrote %d of %d: %v", name, wrote, n, err)
+		}
+		ft, err := trace.ReadTrace(&buf)
+		if err != nil {
+			t.Fatalf("%s: ReadTrace: %v", name, err)
+		}
+		for _, spec := range []string{"none", "bop", "stride", "ghb", "tpc"} {
+			p, err := ByName(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := project(RunSingle(w, p.Factory, cfg))
+			if got := project(RunTrace(ft, p.Factory, cfg)); got != want {
+				t.Errorf("%s/%s: trace replay diverged from the live run\ntrace: %+v\nlive:  %+v", name, spec, got, want)
+			}
+		}
 	}
 }

@@ -104,6 +104,10 @@ func writeInst(w *bufio.Writer, in *Inst, lastPC, lastAddr *uint64) {
 	}
 }
 
+// maxPrealloc caps the instruction slice ReadTrace sizes from a file's
+// header count (3 MiB of Inst).
+const maxPrealloc = 1 << 16
+
 // FileTrace is a fully loaded trace: a replayable Source plus the pointer
 // memory captured with it.
 type FileTrace struct {
@@ -144,7 +148,10 @@ func ReadTrace(r io.Reader) (*FileTrace, error) {
 	if err != nil {
 		return nil, fmt.Errorf("trace: inst count: %w", err)
 	}
-	ft.Insts = make([]Inst, 0, n)
+	// The count is untrusted: preallocate at most maxPrealloc instructions
+	// and let append grow, so a short file claiming a huge count ends in the
+	// EOF error below instead of an allocation the size of the claim.
+	ft.Insts = make([]Inst, 0, min(n, maxPrealloc))
 	var lastPC, lastAddr uint64
 	for i := uint64(0); i < n; i++ {
 		in, err := readInst(br, &lastPC, &lastAddr)

@@ -2,6 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"io"
 	"testing"
 	"testing/quick"
 )
@@ -118,5 +121,19 @@ func TestTraceRoundTripProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestTraceHugeCountHeader: the instruction count in the header is
+// untrusted. A file that claims far more instructions than it holds must
+// end in an error — not in a panic (a 2^62 capacity is out of range) or an
+// out-of-memory kill (2^31 Inst is 96 GiB) from sizing the slice up front.
+func TestTraceHugeCountHeader(t *testing.T) {
+	for _, n := range []uint64{1 << 31, 1 << 62} {
+		b := append([]byte(fileMagic), 0) // no pointer words
+		b = binary.AppendUvarint(b, n)
+		if _, err := ReadTrace(bytes.NewReader(b)); !errors.Is(err, io.EOF) {
+			t.Errorf("count %d over an empty body: got %v, want the EOF error", n, err)
+		}
 	}
 }
