@@ -33,32 +33,13 @@ func fig1(w *Sink, o Options) error {
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "prefetcher\tbenchmark\tscope\teff.accuracy")
 	for _, p := range pfs {
-		// Global average over one large window strung from the individual
-		// applications: aggregate the raw counts.
-		var covered, total uint64
-		var avoided int64
-		var issued uint64
 		for _, r := range runs {
 			pr := r.pair(p.Name)
 			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\n", p.Name, r.W.Name, pct(pr.Scope()), pct(pr.EffAccuracyL1()))
 			w.Row(obs.Row{Workload: r.W.Name, Prefetcher: p.Name, Metric: "scope", Value: pr.Scope()})
 			w.Row(obs.Row{Workload: r.W.Name, Prefetcher: p.Name, Metric: "eff_accuracy_l1", Value: pr.EffAccuracyL1()})
-			for line, wgt := range r.Base.MissL1Lines {
-				total += uint64(wgt)
-				if _, ok := pr.PF.Attempted[line]; ok {
-					covered += uint64(wgt)
-				}
-			}
-			avoided += int64(r.Base.L1Misses) - int64(pr.PF.L1Misses)
-			issued += pr.PF.Issued
 		}
-		gScope, gAcc := 0.0, 0.0
-		if total > 0 {
-			gScope = float64(covered) / float64(total)
-		}
-		if issued > 0 {
-			gAcc = float64(avoided) / float64(issued)
-		}
+		gScope, gAcc, _ := globalAverage(runs, p.Name)
 		fmt.Fprintf(tw, "%s\tGLOBAL\t%s\t%s\n", p.Name, pct(gScope), pct(gAcc))
 		w.Aggregate(obs.Row{Prefetcher: p.Name, Metric: "scope_global", Value: gScope})
 		w.Aggregate(obs.Row{Prefetcher: p.Name, Metric: "eff_accuracy_global", Value: gAcc})
@@ -69,27 +50,39 @@ func fig1(w *Sink, o Options) error {
 	// The paper's panels are scatter plots; draw them.
 	for _, p := range pfs {
 		sp := &scatter{title: p.Name + " (o = app, * = global average)", xlab: "scope", ylab: "accuracy"}
-		var covered, total uint64
-		var avoided int64
-		var issued uint64
 		for _, r := range runs {
 			pr := r.pair(p.Name)
 			sp.add(pr.Scope(), pr.EffAccuracyL1(), 'o')
-			for line, wgt := range r.Base.MissL1Lines {
-				total += uint64(wgt)
-				if _, ok := pr.PF.Attempted[line]; ok {
-					covered += uint64(wgt)
-				}
-			}
-			avoided += int64(r.Base.L1Misses) - int64(pr.PF.L1Misses)
-			issued += pr.PF.Issued
 		}
-		if total > 0 && issued > 0 {
-			sp.add(float64(covered)/float64(total), float64(avoided)/float64(issued), '*')
+		if gScope, gAcc, ok := globalAverage(runs, p.Name); ok {
+			sp.add(gScope, gAcc, '*')
 		}
 		sp.render(w)
 	}
 	return nil
+}
+
+// globalAverage is the prefetcher's scope and effective accuracy over one
+// large window strung from the individual applications: the raw counts of
+// every app are summed before dividing. Each ratio is 0 when its
+// denominator is; ok reports that neither is.
+func globalAverage(runs []*appRun, name string) (scope, acc float64, ok bool) {
+	var covered, total, issued uint64
+	var avoided int64
+	for _, r := range runs {
+		pr := r.pair(name)
+		c, t := pr.ScopeWeights()
+		covered, total = covered+c, total+t
+		avoided += int64(r.Base.L1Misses) - int64(pr.PF.L1Misses)
+		issued += pr.PF.Issued
+	}
+	if total > 0 {
+		scope = float64(covered) / float64(total)
+	}
+	if issued > 0 {
+		acc = float64(avoided) / float64(issued)
+	}
+	return scope, acc, total > 0 && issued > 0
 }
 
 func fig10(w *Sink, o Options) error {

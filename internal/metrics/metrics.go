@@ -43,20 +43,48 @@ func (p Pair) TrafficNorm() float64 {
 	return float64(p.PF.Traffic) / float64(p.Base.Traffic)
 }
 
+// cursor is the inner side of a merge join over footprint columns: it
+// probes a sorted column with lines that arrive in ascending order, so a
+// join costs one pass over each side.
+type cursor struct {
+	lines []mem.Line
+	i     int
+}
+
+// seek reports whether line is in the column, and at which index. Lines
+// passed to successive calls must not descend.
+func (c *cursor) seek(line mem.Line) (int, bool) {
+	for c.i < len(c.lines) && c.lines[c.i] < line {
+		c.i++
+	}
+	return c.i, c.i < len(c.lines) && c.lines[c.i] == line
+}
+
 // Scope returns S(P): the weighted fraction of the baseline L1 miss
 // footprint attempted by the prefetcher. Requires CollectFootprint runs.
 func (p Pair) Scope() float64 {
-	var covered, total uint64
-	for line, w := range p.Base.MissL1Lines {
-		total += uint64(w)
-		if _, ok := p.PF.Attempted[line]; ok {
-			covered += uint64(w)
-		}
-	}
+	covered, total := p.ScopeWeights()
 	if total == 0 {
 		return 0
 	}
 	return float64(covered) / float64(total)
+}
+
+// ScopeWeights returns Scope's numerator and denominator: the weight of
+// the baseline L1 miss footprint the prefetcher attempted, and the whole
+// footprint's weight. A global average over several applications sums
+// them.
+func (p Pair) ScopeWeights() (covered, total uint64) {
+	base := p.Base.MissL1Lines
+	att := cursor{lines: p.PF.Attempted.Lines}
+	for i, line := range base.Lines {
+		w := uint64(base.Vals[i])
+		total += w
+		if _, ok := att.seek(line); ok {
+			covered += w
+		}
+	}
+	return covered, total
 }
 
 // EffAccuracyL1 returns (baseline L1 misses − prefetch-run L1 misses) per
@@ -146,11 +174,14 @@ type CatStats struct {
 // categories. Requires CollectFootprint runs and the workload's classifier.
 func (p Pair) ByCategory(classify Classifier) [workloads.NumCategories]CatStats {
 	var covered, total [workloads.NumCategories]uint64
-	for line, w := range p.Base.MissL1Lines {
+	base := p.Base.MissL1Lines
+	att := cursor{lines: p.PF.Attempted.Lines}
+	for i, line := range base.Lines {
 		c := classify(line)
-		total[c] += uint64(w)
-		if _, ok := p.PF.Attempted[line]; ok {
-			covered[c] += uint64(w)
+		w := uint64(base.Vals[i])
+		total[c] += w
+		if _, ok := att.seek(line); ok {
+			covered[c] += w
 		}
 	}
 	var out [workloads.NumCategories]CatStats
@@ -174,16 +205,18 @@ func (p Pair) ByCategory(classify Classifier) [workloads.NumCategories]CatStats 
 	return out
 }
 
-// Region is a set of footprint lines (e.g. "what TPC does not cover").
-type Region map[mem.Line]bool
+// Region is a set of footprint lines in ascending order (e.g. "what TPC
+// does not cover").
+type Region []mem.Line
 
 // Uncovered returns the baseline footprint lines NOT attempted by the given
 // run — the region Fig. 14 studies.
 func Uncovered(base, ref *sim.Result) Region {
-	r := make(Region, len(base.MissL1Lines)/2)
-	for line := range base.MissL1Lines {
-		if _, ok := ref.Attempted[line]; !ok {
-			r[line] = true
+	var r Region
+	att := cursor{lines: ref.Attempted.Lines}
+	for _, line := range base.MissL1Lines.Lines {
+		if _, ok := att.seek(line); !ok {
+			r = append(r, line)
 		}
 	}
 	return r
@@ -198,33 +231,28 @@ type RegionStats struct {
 
 // InRegion computes the pair's stats restricted to region lines: scope over
 // the region's share of the footprint, and accuracy as region misses avoided
-// per prefetch issued into the region.
+// per prefetch issued into the region. One merge join over the region
+// gathers every sum; the baseline's region misses are the scope's total.
 func (p Pair) InRegion(region Region) RegionStats {
-	var covered, total uint64
-	for line, w := range p.Base.MissL1Lines {
-		if !region[line] {
-			continue
+	base, pfMiss, pfIssued := p.Base.MissL1Lines, p.PF.MissL1Lines, p.PF.IssuedLines
+	inBase := cursor{lines: base.Lines}
+	att := cursor{lines: p.PF.Attempted.Lines}
+	inMiss := cursor{lines: pfMiss.Lines}
+	inIssued := cursor{lines: pfIssued.Lines}
+	var covered, total, misses, issued uint64
+	for _, line := range region {
+		if i, ok := inBase.seek(line); ok {
+			w := uint64(base.Vals[i])
+			total += w
+			if _, ok := att.seek(line); ok {
+				covered += w
+			}
 		}
-		total += uint64(w)
-		if _, ok := p.PF.Attempted[line]; ok {
-			covered += uint64(w)
+		if i, ok := inMiss.seek(line); ok {
+			misses += uint64(pfMiss.Vals[i])
 		}
-	}
-	var baseMiss, pfMiss int64
-	for line, w := range p.Base.MissL1Lines {
-		if region[line] {
-			baseMiss += int64(w)
-		}
-	}
-	for line, w := range p.PF.MissL1Lines {
-		if region[line] {
-			pfMiss += int64(w)
-		}
-	}
-	var issued uint64
-	for line, n := range p.PF.IssuedLines {
-		if region[line] {
-			issued += uint64(n)
+		if i, ok := inIssued.seek(line); ok {
+			issued += uint64(pfIssued.Vals[i])
 		}
 	}
 	rs := RegionStats{Prefetches: issued}
@@ -232,7 +260,7 @@ func (p Pair) InRegion(region Region) RegionStats {
 		rs.Scope = float64(covered) / float64(total)
 	}
 	if issued > 0 {
-		rs.EffAccuracy = float64(baseMiss-pfMiss) / float64(issued)
+		rs.EffAccuracy = float64(int64(total)-int64(misses)) / float64(issued)
 	}
 	return rs
 }

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"divlab/internal/cpu"
@@ -9,20 +11,33 @@ import (
 	"divlab/internal/workloads"
 )
 
+// column returns m as a footprint's sorted columns.
+func column(m map[mem.Line]uint32) sim.Footprint {
+	var f sim.Footprint
+	for line := range m {
+		f.Lines = append(f.Lines, line)
+	}
+	slices.Sort(f.Lines)
+	for _, line := range f.Lines {
+		f.Vals = append(f.Vals, m[line])
+	}
+	return f
+}
+
 // mkResult builds a synthetic sim.Result for metric math tests.
 func mkResult(misses map[mem.Line]uint32, l1Misses, l2Misses, issued uint64, attempted []mem.Line) *sim.Result {
+	each := map[mem.Line]uint32{}
+	for _, a := range attempted {
+		each[a] = 1
+	}
 	r := &sim.Result{
 		Core:        cpu.Result{Insts: 1000, Cycles: 1000},
 		L1Misses:    l1Misses,
 		L2Misses:    l2Misses,
 		Issued:      issued,
-		MissL1Lines: misses,
-		Attempted:   map[mem.Line]uint32{},
-		IssuedLines: map[mem.Line]uint32{},
-	}
-	for _, a := range attempted {
-		r.Attempted[a] = 1
-		r.IssuedLines[a] = 1
+		MissL1Lines: column(misses),
+		Attempted:   column(each),
+		IssuedLines: column(each),
 	}
 	r.IssuedDest[0] = issued // tests model L1-destined prefetchers
 	return r
@@ -107,7 +122,7 @@ func TestUncoveredAndRegionStats(t *testing.T) {
 	base := mkResult(map[mem.Line]uint32{0: 2, 64: 2, 128: 2}, 6, 0, 0, nil)
 	tpcRun := mkResult(nil, 2, 0, 4, []mem.Line{0, 64})
 	region := Uncovered(base, tpcRun)
-	if len(region) != 1 || !region[128] {
+	if !slices.Equal(region, Region{128}) {
 		t.Fatalf("Uncovered = %v", region)
 	}
 	// An extra that attempts line 128 and removes its misses.
@@ -121,6 +136,83 @@ func TestUncoveredAndRegionStats(t *testing.T) {
 	}
 	if rs.EffAccuracy != 2 {
 		t.Errorf("region accuracy = %v, want (2-0)/1", rs.EffAccuracy)
+	}
+}
+
+// TestJoinsMatchMapProbes holds the merge joins to the map probes they
+// replaced, on random footprints whose lines interleave, overlap in part and
+// leave either side's tail unmatched.
+func TestJoinsMatchMapProbes(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	random := func(n int) map[mem.Line]uint32 {
+		m := map[mem.Line]uint32{}
+		for len(m) < n {
+			m[mem.Line(rng.Intn(4*n))*64] = uint32(rng.Intn(5) + 1)
+		}
+		return m
+	}
+	classify := func(line mem.Line) workloads.Category {
+		return workloads.Category(int(line/64) % workloads.NumCategories)
+	}
+	for trial := 0; trial < 50; trial++ {
+		baseMiss, ref, pfMiss, att, iss := random(200), random(150), random(120), random(150), random(100)
+		base := &sim.Result{MissL1Lines: column(baseMiss)}
+		refRun := &sim.Result{Attempted: column(ref)}
+		pf := &sim.Result{MissL1Lines: column(pfMiss), Attempted: column(att), IssuedLines: column(iss)}
+		p := Pair{Base: base, PF: pf}
+
+		var wantCovered, wantTotal uint64
+		var wantCat [workloads.NumCategories][2]uint64
+		wantRegion := map[mem.Line]bool{}
+		for line, w := range baseMiss {
+			wantTotal += uint64(w)
+			c := classify(line)
+			wantCat[c][1] += uint64(w)
+			if _, ok := att[line]; ok {
+				wantCovered += uint64(w)
+				wantCat[c][0] += uint64(w)
+			}
+			if _, ok := ref[line]; !ok {
+				wantRegion[line] = true
+			}
+		}
+		if c, tot := p.ScopeWeights(); c != wantCovered || tot != wantTotal {
+			t.Fatalf("ScopeWeights = %d/%d, want %d/%d", c, tot, wantCovered, wantTotal)
+		}
+		for c, cs := range p.ByCategory(classify) {
+			if want := float64(wantCat[c][0]) / float64(wantCat[c][1]); wantCat[c][1] > 0 && cs.Scope != want {
+				t.Fatalf("category %d scope = %v, want %v", c, cs.Scope, want)
+			}
+		}
+		region := Uncovered(base, refRun)
+		if len(region) != len(wantRegion) || !slices.IsSorted(region) {
+			t.Fatalf("Uncovered has %d lines (sorted %v), want %d", len(region), slices.IsSorted(region), len(wantRegion))
+		}
+		var rCovered, rTotal uint64
+		var rMiss, rIssued int64
+		for _, line := range region {
+			if !wantRegion[line] {
+				t.Fatalf("Uncovered holds line %d, which the reference attempted", line)
+			}
+			w := uint64(baseMiss[line])
+			rTotal += w
+			if _, ok := att[line]; ok {
+				rCovered += w
+			}
+			rMiss += int64(pfMiss[line])
+			rIssued += int64(iss[line])
+		}
+		got := p.InRegion(region)
+		want := RegionStats{Prefetches: uint64(rIssued)}
+		if rTotal > 0 {
+			want.Scope = float64(rCovered) / float64(rTotal)
+		}
+		if rIssued > 0 {
+			want.EffAccuracy = float64(int64(rTotal)-rMiss) / float64(rIssued)
+		}
+		if got != want {
+			t.Fatalf("InRegion = %+v, want %+v", got, want)
+		}
 	}
 }
 

@@ -25,12 +25,14 @@ import (
 	"strconv"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"divlab/internal/cpu"
 	"divlab/internal/dram"
 	"divlab/internal/obs"
 	"divlab/internal/sim"
 	"divlab/internal/store"
+	"divlab/internal/trace"
 	"divlab/internal/workloads"
 )
 
@@ -297,10 +299,10 @@ type recEntry struct {
 }
 
 // Recording budget: a generous bound on total buffered instructions so an
-// unbounded sweep cannot hold every stream it ever simulated. 48 bytes is
-// the recorded-instruction footprint estimate.
+// unbounded sweep cannot hold every stream it ever simulated. A recorded
+// instruction is one trace.Inst.
 const (
-	recInstBytes   = 48
+	recInstBytes   = int64(unsafe.Sizeof(trace.Inst{}))
 	recBudgetBytes = 384 << 20
 )
 

@@ -1,7 +1,6 @@
 package runner
 
 import (
-	"encoding/json"
 	"errors"
 
 	"divlab/internal/sim"
@@ -110,7 +109,7 @@ func (e *Engine) storePut(k Key, rs []*sim.Result) {
 	if st == nil || !persistable(k) {
 		return
 	}
-	payload, err := json.Marshal(rs)
+	payload, err := sim.EncodeResults(rs)
 	if err != nil {
 		e.storeErrs.Add(1)
 		return

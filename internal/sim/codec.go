@@ -3,57 +3,43 @@ package sim
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"math"
+	"strconv"
 
-	"divlab/internal/cache"
-	"divlab/internal/cpu"
-	"divlab/internal/dram"
 	"divlab/internal/mem"
-	"divlab/internal/workloads"
 )
 
-// resultWire is the JSON shape of a Result. It exists so the unexported dense
-// counters (perOwner, perOwnerCat, ownerSlots) survive the round-trip, and so
-// the wire format is explicit rather than an accident of field visibility.
-//
-// Losslessness contract: every field round-trips bit-exactly. All counters
-// are integers; the line maps carry no omitempty so a nil map (footprint off)
-// stays nil and an empty-but-allocated map stays allocated — consumers
-// distinguish the two. ownerSlots widens to []uint16 on the wire because
-// encoding/json would base64 a []uint8. The field order is the wire order,
-// which decoder.result reads in step.
-type resultWire struct {
-	Core cpu.Result `json:"core"`
+// The wire shape of a Result is one JSON object whose fields appear in the
+// order encoder.result writes them and decoder.result reads them. Every field
+// round-trips bit-exactly: all counters are integers; a footprint that was
+// not collected is null and one that was collected but is empty is {}, and
+// consumers distinguish the two. Footprint keys are decimal line addresses
+// in ascending numeric order. owner_slots is an array of numbers, not the
+// base64 string encoding/json writes for a []uint8.
 
-	L1Misses    uint64 `json:"l1_misses"`
-	L1Secondary uint64 `json:"l1_secondary"`
-	L2Misses    uint64 `json:"l2_misses"`
-	Traffic     uint64 `json:"traffic"`
-
-	Issued     uint64    `json:"issued"`
-	Filtered   uint64    `json:"filtered"`
-	Dropped    uint64    `json:"dropped"`
-	IssuedDest [3]uint64 `json:"issued_dest"`
-
-	PerOwner    []uint64                          `json:"per_owner"`
-	CatIssued   [workloads.NumCategories]uint64   `json:"cat_issued"`
-	CatIssuedL1 [workloads.NumCategories]uint64   `json:"cat_issued_l1"`
-	PerOwnerCat [][workloads.NumCategories]uint64 `json:"per_owner_cat"`
-	CatL1Misses [workloads.NumCategories]uint64   `json:"cat_l1_misses"`
-	CatL2Misses [workloads.NumCategories]uint64   `json:"cat_l2_misses"`
-
-	MissL1Lines map[mem.Line]uint32 `json:"miss_l1_lines"`
-	MissL2Lines map[mem.Line]uint32 `json:"miss_l2_lines"`
-	Attempted   map[mem.Line]uint32 `json:"attempted"`
-	IssuedLines map[mem.Line]uint32 `json:"issued_lines"`
-	OwnerSlots  []uint16            `json:"owner_slots"`
-	Names       map[int]string      `json:"names"`
-
-	L1Stats cache.Stats `json:"l1_stats"`
-	L2Stats cache.Stats `json:"l2_stats"`
-	DRAM    dram.Stats  `json:"dram"`
+// EncodeResults encodes a result set in one pass, in the form DecodeResults
+// reads: a JSON array of result objects. It writes the bytes
+// json.Marshal([]*Result) writes, because MarshalJSON shares its encoder.
+// The small fixed-shape fields and the name table go to encoding/json on
+// their own, as the decoder reads them.
+func EncodeResults(rs []*Result) ([]byte, error) {
+	n := 2
+	for _, r := range rs {
+		if r != nil {
+			n += r.encodedSizeHint()
+		}
+	}
+	e := encoder{buf: make([]byte, 0, n)}
+	e.buf = append(e.buf, '[')
+	for i, r := range rs {
+		if i > 0 {
+			e.buf = append(e.buf, ',')
+		}
+		e.result(r)
+	}
+	e.buf = append(e.buf, ']')
+	return e.finish()
 }
 
 // MarshalJSON serializes the full measurement set, including the dense
@@ -61,50 +47,141 @@ type resultWire struct {
 // serialize: lifecycle state is an in-process object graph, and the store
 // must never hold a lossy rendering of it.
 func (r *Result) MarshalJSON() ([]byte, error) {
-	if r.Lifecycle != nil {
-		return nil, errors.New("sim: Result with attached Lifecycle is not serializable")
-	}
-	w := resultWire{
-		Core:        r.Core,
-		L1Misses:    r.L1Misses,
-		L1Secondary: r.L1Secondary,
-		L2Misses:    r.L2Misses,
-		Traffic:     r.Traffic,
-		Issued:      r.Issued,
-		Filtered:    r.Filtered,
-		Dropped:     r.Dropped,
-		IssuedDest:  r.IssuedDest,
-		PerOwner:    r.perOwner,
-		CatIssued:   r.CatIssued,
-		CatIssuedL1: r.CatIssuedL1,
-		PerOwnerCat: r.perOwnerCat,
-		CatL1Misses: r.CatL1Misses,
-		CatL2Misses: r.CatL2Misses,
-		MissL1Lines: r.MissL1Lines,
-		MissL2Lines: r.MissL2Lines,
-		Attempted:   r.Attempted,
-		IssuedLines: r.IssuedLines,
-		Names:       r.Names,
-		L1Stats:     r.L1Stats,
-		L2Stats:     r.L2Stats,
-		DRAM:        r.DRAM,
-	}
-	if r.ownerSlots != nil {
-		w.OwnerSlots = make([]uint16, len(r.ownerSlots))
-		for i, s := range r.ownerSlots {
-			w.OwnerSlots[i] = uint16(s)
-		}
-	}
-	return json.Marshal(w)
+	e := encoder{buf: make([]byte, 0, r.encodedSizeHint())}
+	e.result(r)
+	return e.finish()
 }
 
-// DecodeResults decodes a result set in the form json.Marshal([]*Result)
-// writes it, in one strict pass: resultWire's fields in declaration order,
-// each exactly once, with no whitespace around them. The four footprint
-// maps are parsed straight into maps presized from their entry count; the
-// small fixed-shape fields go to encoding/json on their own sub-slices, so
-// their field lists stay defined once. Unknown fields, trailing bytes,
-// values that overflow their type and owner slots above 255 are errors.
+// encodedSizeHint bounds the encoding of r's fixed-shape fields and covers
+// its footprint entries at their usual size, nine-digit lines with short
+// values, so a typical encoding needs no buffer growth.
+func (r *Result) encodedSizeHint() int {
+	entries := len(r.MissL1Lines.Lines) + len(r.MissL2Lines.Lines) + len(r.Attempted.Lines) + len(r.IssuedLines.Lines)
+	return 2048 + 64*len(r.perOwner) + 16*entries
+}
+
+// encoder appends one encoded payload to buf. The first error sticks: every
+// later step is a no-op, so callers check once at the end.
+type encoder struct {
+	buf []byte
+	err error
+}
+
+// result writes one Result object; decoder.result reads the same fields in
+// the same order.
+func (e *encoder) result(r *Result) {
+	if r == nil {
+		e.fail("nil Result")
+		return
+	}
+	if r.Lifecycle != nil {
+		e.fail("Result with attached Lifecycle is not serializable")
+		return
+	}
+	var slots []uint16
+	if r.ownerSlots != nil {
+		slots = make([]uint16, len(r.ownerSlots))
+		for i, s := range r.ownerSlots {
+			slots[i] = uint16(s)
+		}
+	}
+	e.json(`{"core":`, r.Core)
+	e.uint(`,"l1_misses":`, r.L1Misses)
+	e.uint(`,"l1_secondary":`, r.L1Secondary)
+	e.uint(`,"l2_misses":`, r.L2Misses)
+	e.uint(`,"traffic":`, r.Traffic)
+	e.uint(`,"issued":`, r.Issued)
+	e.uint(`,"filtered":`, r.Filtered)
+	e.uint(`,"dropped":`, r.Dropped)
+	e.json(`,"issued_dest":`, r.IssuedDest)
+	e.json(`,"per_owner":`, r.perOwner)
+	e.json(`,"cat_issued":`, r.CatIssued)
+	e.json(`,"cat_issued_l1":`, r.CatIssuedL1)
+	e.json(`,"per_owner_cat":`, r.perOwnerCat)
+	e.json(`,"cat_l1_misses":`, r.CatL1Misses)
+	e.json(`,"cat_l2_misses":`, r.CatL2Misses)
+	e.lines(`,"miss_l1_lines":`, r.MissL1Lines)
+	e.lines(`,"miss_l2_lines":`, r.MissL2Lines)
+	e.lines(`,"attempted":`, r.Attempted)
+	e.lines(`,"issued_lines":`, r.IssuedLines)
+	e.json(`,"owner_slots":`, slots)
+	e.json(`,"names":`, r.Names)
+	e.json(`,"l1_stats":`, r.L1Stats)
+	e.json(`,"l2_stats":`, r.L2Stats)
+	e.json(`,"dram":`, r.DRAM)
+	e.buf = append(e.buf, '}')
+}
+
+// finish returns the encoding, or the first error.
+func (e *encoder) finish() ([]byte, error) {
+	if e.err != nil {
+		return nil, e.err
+	}
+	return e.buf, nil
+}
+
+func (e *encoder) fail(format string, args ...any) {
+	if e.err == nil {
+		e.err = fmt.Errorf("sim: encode result: %s", fmt.Sprintf(format, args...))
+	}
+}
+
+// uint writes field key with an unsigned decimal value.
+func (e *encoder) uint(key string, v uint64) {
+	e.buf = strconv.AppendUint(append(e.buf, key...), v, 10)
+}
+
+// json writes field key with v's encoding/json encoding.
+func (e *encoder) json(key string, v any) {
+	if e.err != nil {
+		return
+	}
+	b, err := json.Marshal(v)
+	if err != nil {
+		e.fail("%s: %v", key, err)
+		return
+	}
+	e.buf = append(append(e.buf, key...), b...)
+}
+
+// lines writes field key as a footprint: null when it was not collected,
+// otherwise an object of decimal line addresses, ascending, to their values.
+// Columns that are not strictly ascending or differ in length are an error,
+// so every encoding reads back to the columns it came from.
+func (e *encoder) lines(key string, f Footprint) {
+	e.buf = append(e.buf, key...)
+	if f.Lines == nil {
+		e.buf = append(e.buf, "null"...)
+		return
+	}
+	if len(f.Vals) != len(f.Lines) {
+		e.fail("%s: %d lines but %d values", key, len(f.Lines), len(f.Vals))
+		return
+	}
+	b := append(e.buf, '{')
+	for i, line := range f.Lines {
+		if i > 0 {
+			if line <= f.Lines[i-1] {
+				e.fail("%s: line %d after %d", key, line, f.Lines[i-1])
+				return
+			}
+			b = append(b, ',')
+		}
+		b = append(strconv.AppendUint(append(b, '"'), uint64(line), 10), '"', ':')
+		b = strconv.AppendUint(b, uint64(f.Vals[i]), 10)
+	}
+	e.buf = append(b, '}')
+}
+
+// DecodeResults decodes a result set in the form EncodeResults writes it, in
+// one strict pass: the wire fields in order, each exactly once, with no
+// whitespace around them. The four footprints are appended straight into
+// columns sized from their entry count; the small fixed-shape fields go to
+// encoding/json on their own sub-slices, so their field lists stay defined
+// once. Footprint keys may come in any order: the columns are sorted when
+// they are not ascending. Unknown fields, trailing bytes, duplicate
+// footprint keys, values that overflow their type and owner slots above 255
+// are errors.
 func DecodeResults(payload []byte) ([]*Result, error) {
 	d := decoder{buf: payload}
 	d.lit("[")
@@ -140,7 +217,7 @@ type decoder struct {
 	err error
 }
 
-// result reads one Result object; the field order mirrors resultWire.
+// result reads one Result object; the field order mirrors encoder.result.
 func (d *decoder) result(r *Result) {
 	var slots []uint16
 	d.json(`{"core":`, &r.Core)
@@ -289,11 +366,13 @@ func (d *decoder) skip() {
 	d.fail("unterminated value")
 }
 
-// lines reads field key as a footprint map: null (footprint off) or an
-// object of decimal line addresses to uint32 counts. Keys and values are
-// bare digits, so the first '}' closes the object and its ':' count is the
-// entry count, which sizes the map and exposes duplicate keys.
-func (d *decoder) lines(key string, dst *map[mem.Line]uint32) {
+// lines reads field key as a footprint: null (footprint off) or an object
+// of decimal line addresses to uint32 values. Keys and values are bare
+// digits, so the first '}' closes the object and its ':' count is the entry
+// count, which sizes the columns. Entries are appended in the order read;
+// if a line is not above the one before, the columns go through a map,
+// which exposes duplicate keys, and come back sorted.
+func (d *decoder) lines(key string, dst *Footprint) {
 	d.lit(key)
 	if d.null() {
 		return
@@ -311,7 +390,8 @@ func (d *decoder) lines(key string, dst *map[mem.Line]uint32) {
 	// checked is not the closing '}'.
 	b := d.buf[:d.pos+end+1]
 	n := bytes.Count(b[d.pos:], []byte{':'})
-	m := make(map[mem.Line]uint32, n)
+	f := Footprint{Lines: make([]mem.Line, 0, n), Vals: make([]uint32, 0, n)}
+	ascending := true
 	i := d.pos
 	for b[i] == '"' {
 		line, j, ok := parseUint(b, i+1, math.MaxUint64)
@@ -322,7 +402,11 @@ func (d *decoder) lines(key string, dst *map[mem.Line]uint32) {
 		if !ok {
 			break
 		}
-		m[mem.Line(line)] = uint32(count)
+		if last := len(f.Lines) - 1; last >= 0 && mem.Line(line) <= f.Lines[last] {
+			ascending = false
+		}
+		f.Lines = append(f.Lines, mem.Line(line))
+		f.Vals = append(f.Vals, uint32(count))
 		if i = k; b[i] != ',' || b[i+1] != '"' {
 			break
 		}
@@ -334,11 +418,18 @@ func (d *decoder) lines(key string, dst *map[mem.Line]uint32) {
 		return
 	}
 	d.pos++
-	if len(m) != n {
-		d.fail("duplicate key in %s", key)
-		return
+	if !ascending {
+		m := make(map[mem.Line]uint32, len(f.Lines))
+		for i, line := range f.Lines {
+			m[line] = f.Vals[i]
+		}
+		if len(m) != len(f.Lines) {
+			d.fail("duplicate key in %s", key)
+			return
+		}
+		f = columns(m)
 	}
-	*dst = m
+	*dst = f
 }
 
 // maxUint64Digits is math.MaxUint64 in decimal.

@@ -108,7 +108,7 @@ func TestDispatchDifferential(t *testing.T) {
 	}
 }
 
-// TestDispatchDifferentialFootprint covers the CollectFootprint maps, which
+// TestDispatchDifferentialFootprint covers the CollectFootprint columns, which
 // take a different accumulation path than the dense counters.
 func TestDispatchDifferentialFootprint(t *testing.T) {
 	const n = 20_000
@@ -123,8 +123,8 @@ func TestDispatchDifferentialFootprint(t *testing.T) {
 	batched := runRecordedDispatch(t, rec, w, "tpc+sms", cfg, false, 0)
 	if !reflect.DeepEqual(scalar, batched) {
 		t.Errorf("footprint run diverged: scalar %d/%d/%d lines, batched %d/%d/%d lines",
-			len(scalar.MissL1Lines), len(scalar.Attempted), len(scalar.IssuedLines),
-			len(batched.MissL1Lines), len(batched.Attempted), len(batched.IssuedLines))
+			len(scalar.MissL1Lines.Lines), len(scalar.Attempted.Lines), len(scalar.IssuedLines.Lines),
+			len(batched.MissL1Lines.Lines), len(batched.Attempted.Lines), len(batched.IssuedLines.Lines))
 	}
 }
 

@@ -48,5 +48,6 @@ func (h *HotPath) OnInst(in *trace.Inst) {
 	h.r.OnInstWindow(h.win[:], h.cyc[:])
 }
 
-// Result exposes the accumulating measurements (read-only).
+// Result exposes the accumulating measurements (read-only). Footprints are
+// frozen only when a run ends, so a HotPath's Result never carries them.
 func (h *HotPath) Result() *Result { return h.r.res }

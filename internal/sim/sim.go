@@ -30,8 +30,8 @@ type Config struct {
 	Seed uint64
 	// DropPolicy selects the memory controller's overflow behaviour.
 	DropPolicy dram.DropPolicy
-	// CollectFootprint enables the per-line miss and prefetch maps needed
-	// for scope metrics (costs memory; off for plain speedup runs).
+	// CollectFootprint enables the per-line miss and prefetch footprints
+	// needed for scope metrics (costs memory; off for plain speedup runs).
 	CollectFootprint bool
 	// DestOverride, when non-nil, remaps each prefetch's destination based
 	// on the target's ground-truth category (the Fig. 16 oracle study).
@@ -94,14 +94,14 @@ type Result struct {
 
 	// MissL1Lines / MissL2Lines are per-line primary miss counts
 	// (CollectFootprint only).
-	MissL1Lines map[mem.Line]uint32
-	MissL2Lines map[mem.Line]uint32
-	// Attempted is the prefetch footprint: line -> bitmask of component
-	// slots that attempted it (CollectFootprint only).
-	Attempted map[mem.Line]uint32
+	MissL1Lines Footprint
+	MissL2Lines Footprint
+	// Attempted is the prefetch footprint: each line's bitmask of the
+	// component slots that attempted it (CollectFootprint only).
+	Attempted Footprint
 	// IssuedLines is the post-filter per-line issued prefetch count
 	// (CollectFootprint only), used for region-restricted accuracy.
-	IssuedLines map[mem.Line]uint32
+	IssuedLines Footprint
 	// ownerSlots maps component id (dense index) -> bit position in
 	// Attempted masks; see OwnerSlots for the map-shaped view.
 	ownerSlots []uint8
@@ -193,6 +193,9 @@ type runner struct {
 	pfBatch prefetch.BatchComponent
 	pfInstB prefetch.BatchInstObserver
 	res     *Result
+	// fp accumulates the per-line footprints (Config.CollectFootprint only;
+	// nil otherwise, so the hot path pays one nil check per site).
+	fp *footprints
 	// evs is the reusable demand-event buffer handed to OnAccess (as a
 	// length-1 batch); taking the address of a stack copy would force a heap
 	// escape per access.
@@ -211,6 +214,9 @@ type runner struct {
 
 func newRunner(cfg Config, inst workloads.Instance, hier *mem.Hierarchy, pf prefetch.Component, res *Result) *runner {
 	r := &runner{cfg: cfg, inst: inst, hier: hier, pf: pf, res: res}
+	if cfg.CollectFootprint {
+		r.fp = newFootprints()
+	}
 	r.sink.Init(r)
 	r.pfInst, _ = pf.(prefetch.InstObserver)
 	r.pfBatch, _ = pf.(prefetch.BatchComponent)
@@ -236,9 +242,9 @@ func (r *runner) Access(pc, addr uint64, at uint64, store bool) uint64 {
 	if ev.MissL1 {
 		res.L1Misses++
 		res.CatL1Misses[cat]++
-		if res.MissL1Lines != nil {
+		if r.fp != nil {
 			//lint:allow hotalloc -- optional line-level tracking; nil (never allocated) on the benchmarked path
-			res.MissL1Lines[ev.LineAddr]++
+			r.fp.missL1[ev.LineAddr]++
 		}
 	}
 	if ev.Secondary {
@@ -247,9 +253,9 @@ func (r *runner) Access(pc, addr uint64, at uint64, store bool) uint64 {
 	if ev.MissL2 {
 		res.L2Misses++
 		res.CatL2Misses[cat]++
-		if res.MissL2Lines != nil {
+		if r.fp != nil {
 			//lint:allow hotalloc -- optional line-level tracking; nil (never allocated) on the benchmarked path
-			res.MissL2Lines[ev.LineAddr]++
+			r.fp.missL2[ev.LineAddr]++
 		}
 	}
 	if r.pf != nil {
@@ -290,9 +296,9 @@ func (r *runner) drainSink() {
 		if r.cfg.DestOverride != nil {
 			dest = r.cfg.DestOverride(req, r.inst.Classify(req.LineAddr))
 		}
-		if res.Attempted != nil {
+		if r.fp != nil {
 			//lint:allow hotalloc -- optional line-level tracking; nil (never allocated) on the benchmarked path
-			res.Attempted[req.LineAddr] |= 1 << res.slot(req.Owner)
+			r.fp.attempted[req.LineAddr] |= 1 << res.slot(req.Owner)
 		}
 		if r.hier.Prefetch(req.LineAddr, dest, req.Owner, req.Priority, at) {
 			// Classification is pure, so deduped and dropped requests —
@@ -300,9 +306,9 @@ func (r *runner) drainSink() {
 			cat := r.inst.Classify(req.LineAddr)
 			res.Issued++
 			res.IssuedDest[dest]++
-			if res.IssuedLines != nil {
+			if r.fp != nil {
 				//lint:allow hotalloc -- optional line-level tracking; nil (never allocated) on the benchmarked path
-				res.IssuedLines[req.LineAddr]++
+				r.fp.issued[req.LineAddr]++
 			}
 			res.CatIssued[cat]++
 			if dest == mem.L1 {
@@ -325,7 +331,7 @@ func (r *Result) slot(owner int) uint {
 	return uint(r.ownerSlots[owner])
 }
 
-func newResult(cfg Config, names map[int]string) *Result {
+func newResult(names map[int]string) *Result {
 	res := &Result{Names: names}
 	// Deterministic slot assignment by id order. Component ids are
 	// contiguous from 1 (prefetch.AssignIDs), but tolerate gaps: the dense
@@ -345,12 +351,6 @@ func newResult(cfg Config, names map[int]string) *Result {
 			res.ownerSlots[id] = slot
 			slot++
 		}
-	}
-	if cfg.CollectFootprint {
-		res.MissL1Lines = make(map[mem.Line]uint32, 1<<14)
-		res.MissL2Lines = make(map[mem.Line]uint32, 1<<14)
-		res.Attempted = make(map[mem.Line]uint32, 1<<14)
-		res.IssuedLines = make(map[mem.Line]uint32, 1<<14)
 	}
 	return res
 }
@@ -388,7 +388,7 @@ func wire(cfg Config, cores int, sys *mem.System, inst workloads.Instance, facto
 		comp = factory(inst)
 		names = prefetch.AssignIDs(comp, 1)
 	}
-	res := newResult(cfg, names)
+	res := newResult(names)
 	attachLifecycle(cfg, hier, res, names)
 	return newRunner(cfg, inst, hier, comp, res)
 }
@@ -478,6 +478,9 @@ func run(insts []workloads.Instance, factory Factory, cfg Config) []*Result {
 		res.Traffic = sys.Mem.Stats.Lines()
 		res.Dropped = sys.Mem.Stats.DroppedPrefetches
 		res.DRAM = sys.Mem.Stats
+		if fp := st.r.fp; fp != nil {
+			fp.freeze(res)
+		}
 		results[i] = res
 	}
 	return results

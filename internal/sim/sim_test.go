@@ -129,22 +129,32 @@ func TestFootprintCollection(t *testing.T) {
 	tpc, _ := ByName("tpc")
 	base := RunSingle(w, nil, cfg)
 	r := RunSingle(w, tpc.Factory, cfg)
-	if len(base.MissL1Lines) == 0 {
+	if len(base.MissL1Lines.Lines) == 0 {
 		t.Error("baseline footprint empty")
 	}
-	if len(r.Attempted) == 0 || len(r.IssuedLines) == 0 {
+	if len(r.Attempted.Lines) == 0 || len(r.IssuedLines.Lines) == 0 {
 		t.Error("prefetch footprint empty")
 	}
+	// Every footprint is frozen into strictly ascending, exact-size columns.
+	for _, f := range []Footprint{r.MissL1Lines, r.MissL2Lines, r.Attempted, r.IssuedLines} {
+		if len(f.Vals) != len(f.Lines) || cap(f.Lines) != len(f.Lines) || cap(f.Vals) != len(f.Vals) {
+			t.Errorf("footprint columns not exact-size: %d/%d lines, %d/%d values", len(f.Lines), cap(f.Lines), len(f.Vals), cap(f.Vals))
+		}
+		for i := 1; i < len(f.Lines); i++ {
+			if f.Lines[i] <= f.Lines[i-1] {
+				t.Fatalf("footprint line %d follows %d", f.Lines[i], f.Lines[i-1])
+			}
+		}
+	}
 	// Attempted lines carry owner slots from the name table.
-	for _, mask := range r.Attempted {
+	for _, mask := range r.Attempted.Vals {
 		if mask == 0 {
 			t.Fatal("attempted mask empty")
 		}
-		break
 	}
 	// Per-line issue counts never exceed the aggregate.
 	var sum uint64
-	for _, n := range r.IssuedLines {
+	for _, n := range r.IssuedLines.Vals {
 		sum += uint64(n)
 	}
 	if sum != r.Issued {

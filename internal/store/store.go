@@ -14,8 +14,10 @@
 //
 // The store holds only validated, deterministic artifacts: a record's
 // payload is a pure function of its digest (the digest covers every input of
-// the simulation), so concurrent writers racing on one key write identical
-// bytes and last-rename-wins is sound.
+// the simulation), so concurrent writers of one version racing on one key
+// write identical bytes and last-rename-wins is sound. Writers of different
+// versions write equivalent payloads, which decode to the same results
+// though their bytes may differ (footprint key order, for one).
 package store
 
 import (

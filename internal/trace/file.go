@@ -105,7 +105,7 @@ func writeInst(w *bufio.Writer, in *Inst, lastPC, lastAddr *uint64) {
 }
 
 // maxPrealloc caps the instruction slice ReadTrace sizes from a file's
-// header count (3 MiB of Inst).
+// header count (2.5 MiB of Inst).
 const maxPrealloc = 1 << 16
 
 // FileTrace is a fully loaded trace: a replayable Source plus the pointer

@@ -45,14 +45,18 @@ type Reg uint8
 const NumRegs = 64
 
 // Inst is one dynamic instruction. The zero value is a harmless ALU no-op.
+// The three addresses come first and the one-byte fields after them, which
+// packs an Inst into 40 bytes; recordings hold millions of them.
 type Inst struct {
 	// PC is the static instruction address. Prefetchers key their tables
 	// on it (and on mPC = PC xor RAS top for T2/P1).
 	PC uint64
-	// Kind classifies the operation.
-	Kind Kind
 	// Addr is the byte address touched by Load/Store.
 	Addr uint64
+	// Target is the branch target PC (valid when Kind == Branch).
+	Target uint64
+	// Kind classifies the operation.
+	Kind Kind
 	// Dst is the destination register (0 = none).
 	Dst Reg
 	// Src1, Src2 are source registers (0 = none). For Load/Store, Src1 is
@@ -66,8 +70,6 @@ type Inst struct {
 	// IsCall / IsRet mark call/return branches for the RAS.
 	IsCall bool
 	IsRet  bool
-	// Target is the branch target PC (valid when Kind == Branch).
-	Target uint64
 	// Mispredict marks a branch the front end mispredicts; the core charges
 	// the misprediction penalty. Workload generators set this according to
 	// the predictability of the branch they are modelling.

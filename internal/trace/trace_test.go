@@ -3,6 +3,7 @@ package trace
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func TestKindString(t *testing.T) {
@@ -20,6 +21,14 @@ func TestIsMem(t *testing.T) {
 	}
 	if !(&Inst{Kind: Load}).IsMem() || !(&Inst{Kind: Store}).IsMem() {
 		t.Error("Load/Store must be memory instructions")
+	}
+}
+
+// TestInstSize pins the packed field order: recordings hold one Inst per
+// instruction, and the runner's recording budget charges this size.
+func TestInstSize(t *testing.T) {
+	if n := unsafe.Sizeof(Inst{}); n != 40 {
+		t.Errorf("sizeof(Inst) = %d bytes, want 40", n)
 	}
 }
 
