@@ -15,10 +15,9 @@ vet:
 	$(GO) vet ./...
 
 # lint runs go vet, gofmt (any file it would rewrite is a finding) and the
-# project's own analyzers (determinism, specstring, conservation, sinkerr,
-# the flow-sensitive isolation and lineaddr checks, the summary-based
-# hotalloc and ctxlease checks, and the static race pair sharedmut +
-# wgdiscipline).
+# project's seven analyzers (determinism, specstring, conservation, sinkerr,
+# and the whole-program isolation, lineaddr and hotalloc checks). No
+# analyzer checks concurrency; race-stress is the backstop for that.
 # The tree must stay at zero findings; suppress a justified exception with
 # //lint:allow <analyzer> -- <reason>; `divlint -audit` reports stale ones.
 lint: vet
@@ -40,8 +39,9 @@ race:
 	$(GO) test -race ./...
 
 # race-stress repeats the concurrent-layer tests under the race detector at
-# two scheduler widths — the dynamic complement to the static race pair.
-# CI runs the same matrix.
+# two scheduler widths. With the store's cross-process lease test, which
+# runs several processes against one store directory, it is the
+# concurrency backstop. CI runs the same matrix.
 race-stress:
 	GOMAXPROCS=2 $(GO) test -race -count=3 ./internal/runner/... ./internal/store/... ./internal/sweep/... ./internal/obs/...
 	GOMAXPROCS=8 $(GO) test -race -count=3 ./internal/runner/... ./internal/store/... ./internal/sweep/... ./internal/obs/...

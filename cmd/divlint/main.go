@@ -1,14 +1,12 @@
 // Command divlint runs the project's static-analysis suite: the mechanical
 // enforcement of the simulator's determinism, spec-string, conservation,
-// sink-error, run-isolation, line-address, hot-path-allocation,
-// context/lease-discipline, shared-mutation and WaitGroup-discipline
-// contracts — ten analyzers in all (see internal/analysis/... and README
+// sink-error, run-isolation, line-address and hot-path-allocation
+// contracts — seven analyzers in all (see internal/analysis/... and README
 // "Correctness contracts").
 //
 //	divlint ./...                     lint the whole module
 //	divlint ./internal/sim ./cmd/...  lint specific packages
 //	divlint -json ./...               machine-readable findings on stdout
-//	divlint -timing ./...             add per-analyzer wall-clock timings
 //	divlint -audit ./...              list stale //lint:allow directives
 //	go vet -vettool=$(which divlint) ./...   run under the go command
 //
@@ -27,18 +25,10 @@
 // finding on its covered lines. A stale allow is a hole a future regression
 // walks through silently, so CI fails on them too (exit 1).
 //
-// -timing appends a per-analyzer wall-clock table (slowest first) to
-// stderr; combined with -json it wraps the findings array in an object —
-// {"findings": [...], "timings": [{analyzer,millis,packages}]} — so the
-// plain -json contract (a bare array) is unchanged for existing consumers.
-// CI's lint-strict job runs with -timing under a hard wall-clock budget so
-// a pathological analyzer slowdown fails loudly instead of creeping.
-//
-// The isolation, lineaddr, hotalloc, ctxlease, sharedmut and wgdiscipline
-// analyzers are whole-program: they need the full package set for call-graph reachability
-// and dataflow summaries, so this pattern driver is their authoritative
-// harness. Under `go vet -vettool` they see one package at a time and only
-// intra-package call edges.
+// The isolation, lineaddr and hotalloc analyzers are whole-program: they
+// need the full package set for call-graph reachability, so this pattern
+// driver is their authoritative harness. Under `go vet -vettool` they see
+// one package at a time and only intra-package call edges.
 package main
 
 import (
@@ -51,7 +41,7 @@ import (
 	"divlab/internal/analysis/divlint"
 )
 
-const version = "v1.3.0"
+const version = "v1.4.0"
 
 // jsonFinding is the -json wire form of one finding.
 type jsonFinding struct {
@@ -60,13 +50,6 @@ type jsonFinding struct {
 	Col      int    `json:"col"`
 	Analyzer string `json:"analyzer"`
 	Message  string `json:"message"`
-}
-
-// jsonTiming is the -json -timing wire form of one analyzer's wall-clock.
-type jsonTiming struct {
-	Analyzer string  `json:"analyzer"`
-	Millis   float64 `json:"millis"`
-	Packages int     `json:"packages"`
 }
 
 func main() {
@@ -80,7 +63,6 @@ func main() {
 
 	fs := flag.NewFlagSet("divlint", flag.ExitOnError)
 	asJSON := fs.Bool("json", false, "emit findings as a JSON array on stdout")
-	timing := fs.Bool("timing", false, "report per-analyzer wall-clock timings, slowest first")
 	audit := fs.Bool("audit", false, "report stale //lint:allow directives instead of findings")
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2) // ExitOnError already printed usage; unreachable in practice
@@ -106,7 +88,7 @@ func main() {
 		return
 	}
 
-	findings, timings, err := divlint.RunTimed(".", patterns...)
+	findings, err := divlint.Run(".", patterns...)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "divlint:", err)
 		os.Exit(1)
@@ -125,37 +107,13 @@ func main() {
 		}
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
-		// Plain -json keeps its bare-array contract; -timing wraps it.
-		var payload interface{} = out
-		if *timing {
-			jt := make([]jsonTiming, 0, len(timings))
-			for _, tm := range timings {
-				jt = append(jt, jsonTiming{
-					Analyzer: tm.Analyzer,
-					Millis:   float64(tm.Elapsed.Microseconds()) / 1000,
-					Packages: tm.Packages,
-				})
-			}
-			payload = struct {
-				Findings []jsonFinding `json:"findings"`
-				Timings  []jsonTiming  `json:"timings"`
-			}{out, jt}
-		}
-		if err := enc.Encode(payload); err != nil {
+		if err := enc.Encode(out); err != nil {
 			fmt.Fprintln(os.Stderr, "divlint:", err)
 			os.Exit(1)
 		}
 	} else {
 		for _, f := range findings {
 			fmt.Println(f)
-		}
-		if *timing {
-			// Stderr, so the problem-matcher parsing stdout is unaffected.
-			fmt.Fprintln(os.Stderr, "divlint: analyzer timings (slowest first):")
-			for _, tm := range timings {
-				fmt.Fprintf(os.Stderr, "  %-14s %8.1fms  %d pkg(s)\n",
-					tm.Analyzer, float64(tm.Elapsed.Microseconds())/1000, tm.Packages)
-			}
 		}
 	}
 	if n := len(findings); n > 0 {

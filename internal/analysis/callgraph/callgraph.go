@@ -206,17 +206,8 @@ func (g *Graph) addCallEdges(n *Node) {
 }
 
 // dispatch resolves an interface method call to every loaded concrete method
-// that could be its target.
+// that could be its target, in deterministic (node) order.
 func (g *Graph) dispatch(from *Node, ifaceMethod *types.Func, iface *types.Interface) {
-	for _, cand := range g.dispatchTargets(ifaceMethod, iface) {
-		from.addEdge(cand)
-	}
-}
-
-// dispatchTargets lists every loaded concrete method an interface method call
-// could reach, in deterministic (node) order.
-func (g *Graph) dispatchTargets(ifaceMethod *types.Func, iface *types.Interface) []*Node {
-	var out []*Node
 	for _, cand := range g.Nodes {
 		if cand.Fn == nil || cand.Fn.Name() != ifaceMethod.Name() {
 			continue
@@ -226,31 +217,9 @@ func (g *Graph) dispatchTargets(ifaceMethod *types.Func, iface *types.Interface)
 			continue
 		}
 		if implementsEither(rt, iface) {
-			out = append(out, cand)
+			from.addEdge(cand)
 		}
 	}
-	return out
-}
-
-// Targets resolves one call site to its possible targets in the graph: the
-// static callee's node, or — for a call through an interface method — every
-// loaded concrete method that could satisfy the dispatch. external reports
-// the resolved *types.Func when it has no node here (declared outside the
-// loaded packages, e.g. the standard library); summary-based analyzers
-// classify those by package path. Both results are empty for calls through
-// plain function values, conversions and built-ins.
-func (g *Graph) Targets(info *types.Info, call *ast.CallExpr) (targets []*Node, external *types.Func) {
-	fn := callee(info, call)
-	if fn == nil {
-		return nil, nil
-	}
-	if recv := recvType(fn); recv != nil && types.IsInterface(recv) {
-		return g.dispatchTargets(fn, recv.Underlying().(*types.Interface)), fn
-	}
-	if n := g.byFunc[fn]; n != nil {
-		return []*Node{n}, nil
-	}
-	return nil, fn
 }
 
 // implementsEither reports whether t or *t satisfies iface: a value-receiver
@@ -315,95 +284,6 @@ func (g *Graph) Reachable(entries []*Node) (reached map[*Node]bool, from map[*No
 		}
 	}
 	return reached, from
-}
-
-// SCCs returns the graph's strongly connected components in bottom-up
-// (callee-first) order: every edge out of a component leads into a component
-// emitted earlier, so a summary computation that walks the slice front to
-// back always sees finished callee summaries, and only members of the same
-// component — a recursion cycle — need a fixpoint. A non-recursive function
-// is a singleton component; mutual recursion (directly or through interface
-// dispatch) groups into one component.
-//
-// The traversal is iterative Tarjan over the deterministic node and edge
-// order, so both the component order and the member order within each
-// component are stable run to run.
-func (g *Graph) SCCs() [][]*Node {
-	type vstate struct {
-		index, lowlink int
-		onStack        bool
-	}
-	states := make(map[*Node]*vstate, len(g.Nodes))
-	var stack []*Node
-	var sccs [][]*Node
-	next := 0
-
-	// Iterative Tarjan: frames carry (node, next out-edge index) so deep call
-	// chains cannot overflow the goroutine stack.
-	type frame struct {
-		n  *Node
-		ei int
-	}
-	for _, root := range g.Nodes {
-		if states[root] != nil {
-			continue
-		}
-		work := []frame{{n: root}}
-		for len(work) > 0 {
-			fr := &work[len(work)-1]
-			st := states[fr.n]
-			if st == nil {
-				st = &vstate{index: next, lowlink: next, onStack: true}
-				next++
-				states[fr.n] = st
-				stack = append(stack, fr.n)
-			}
-			advanced := false
-			for fr.ei < len(fr.n.Out) {
-				succ := fr.n.Out[fr.ei]
-				fr.ei++
-				ss := states[succ]
-				if ss == nil {
-					work = append(work, frame{n: succ})
-					advanced = true
-					break
-				}
-				if ss.onStack && ss.index < st.lowlink {
-					st.lowlink = ss.index
-				}
-			}
-			if advanced {
-				continue
-			}
-			// fr.n is finished: fold its lowlink into the parent, pop a
-			// component if it is a root.
-			if st.lowlink == st.index {
-				var comp []*Node
-				for {
-					m := stack[len(stack)-1]
-					stack = stack[:len(stack)-1]
-					states[m].onStack = false
-					comp = append(comp, m)
-					if m == fr.n {
-						break
-					}
-				}
-				// Members pop in reverse discovery order; restore graph order.
-				for i, j := 0, len(comp)-1; i < j; i, j = i+1, j-1 {
-					comp[i], comp[j] = comp[j], comp[i]
-				}
-				sccs = append(sccs, comp)
-			}
-			work = work[:len(work)-1]
-			if len(work) > 0 {
-				parent := states[work[len(work)-1].n]
-				if st.lowlink < parent.lowlink {
-					parent.lowlink = st.lowlink
-				}
-			}
-		}
-	}
-	return sccs
 }
 
 // PathFrom reconstructs the entry→node call chain recorded by Reachable.

@@ -1,7 +1,7 @@
 // Package cfg builds per-function control-flow graphs over the plain AST —
-// no SSA, no x/tools — precise enough for the flow-sensitive analyzers in
-// this module: basic blocks of leaf statements connected by successor edges,
-// with an entry block and a liveness (reachability) query.
+// no SSA, no x/tools — precise enough for the isolation analyzer: basic
+// blocks of leaf statements connected by successor edges, with an entry
+// block and a liveness (reachability) query.
 //
 // Control statements are decomposed, never stored: an *ast.IfStmt contributes
 // its Init statement to the current block and its branches to new blocks, so
@@ -29,20 +29,6 @@ type Block struct {
 	Stmts []ast.Stmt
 	// Succs are the possible successor blocks, in source order.
 	Succs []*Block
-	// Branch, when non-nil, records that the block is the then- or
-	// else-branch of an if statement: it is only entered when Cond evaluated
-	// to Taken. Join blocks carry no annotation (they merge both outcomes).
-	// Path-sensitive refinements (the ctxlease must-release walk) use this to
-	// recognize guard shapes like `if !ok { return }`; everything else may
-	// ignore it.
-	Branch *BranchInfo
-}
-
-// BranchInfo is one if-branch fact: entering the annotated block implies the
-// condition's value.
-type BranchInfo struct {
-	Cond  ast.Expr
-	Taken bool
 }
 
 // Graph is the control-flow graph of one function body.
@@ -175,16 +161,12 @@ func (b *builder) stmt(s ast.Stmt) {
 		cond := b.cur
 		after := b.newBlock()
 		b.cur = cond
-		thenB := b.startBlock()
-		thenB.Branch = &BranchInfo{Cond: s.Cond, Taken: true}
-		b.cur = thenB
+		b.cur = b.startBlock()
 		b.stmtList(s.Body.List)
 		b.edge(b.cur, after)
 		if s.Else != nil {
 			b.cur = cond
-			elseB := b.startBlock()
-			elseB.Branch = &BranchInfo{Cond: s.Cond, Taken: false}
-			b.cur = elseB
+			b.cur = b.startBlock()
 			b.stmt(s.Else)
 			b.edge(b.cur, after)
 		} else {

@@ -7,15 +7,12 @@ package divlint
 import (
 	"divlab/internal/analysis"
 	"divlab/internal/analysis/conservation"
-	"divlab/internal/analysis/ctxlease"
 	"divlab/internal/analysis/determinism"
 	"divlab/internal/analysis/hotalloc"
 	"divlab/internal/analysis/isolation"
 	"divlab/internal/analysis/lineaddr"
-	"divlab/internal/analysis/sharedmut"
 	"divlab/internal/analysis/sinkerr"
 	"divlab/internal/analysis/specstring"
-	"divlab/internal/analysis/wgdiscipline"
 )
 
 // simPackages are the packages on the simulated path: everything here must
@@ -61,31 +58,6 @@ var hotPackages = map[string]bool{
 
 func inHotScope(path string) bool { return hotPackages[path] }
 
-// leasePackages own the runner/store/sweep concurrency discipline: context
-// propagation, lease release pairing, no blocking under a mutex.
-var leasePackages = map[string]bool{
-	"divlab/internal/runner": true,
-	"divlab/internal/store":  true,
-	"divlab/internal/sweep":  true,
-}
-
-func inLeaseScope(path string) bool { return leasePackages[path] }
-
-// racePackages are the goroutine-dense layers the static race detector
-// covers: the lease packages plus internal/obs, whose Progress ticker is the
-// one long-lived background goroutine the engine always runs. The simulated
-// path is deliberately out of scope — it is single-threaded by construction
-// (the isolation analyzer guards that) and jobs only parallelize at the
-// runner layer.
-var racePackages = map[string]bool{
-	"divlab/internal/runner": true,
-	"divlab/internal/store":  true,
-	"divlab/internal/sweep":  true,
-	"divlab/internal/obs":    true,
-}
-
-func inRaceScope(path string) bool { return racePackages[path] }
-
 // everywhere applies an analyzer to every package, the analyzer suite
 // included: the contract checks are cheap and self-hosting keeps us honest.
 func everywhere(string) bool { return true }
@@ -104,39 +76,21 @@ func Suite() []analysis.Scoped {
 		// harness (the unitchecker sees only intra-package call edges).
 		{Analyzer: isolation.Analyzer, Applies: inSimScope},
 		{Analyzer: lineaddr.Analyzer, Applies: inSimScope},
-		// The summary-based pair from the interprocedural dataflow layer:
-		// hotalloc freezes PR 6's zero-alloc benchmark pin into a lint-time
-		// contract on the hot packages; ctxlease holds PR 7's cancellation
-		// and lease discipline on the runner/store/sweep layer. Both consume
-		// whole-program call-graph summaries, so — like isolation — the
-		// pattern driver is their authoritative harness.
+		// hotalloc freezes the zero-alloc pin on BenchmarkAccessPath into a
+		// lint-time contract on the hot packages. It walks the same
+		// whole-program call graph, so — like isolation — the pattern
+		// driver is its authoritative harness.
 		{Analyzer: hotalloc.Analyzer, Applies: inHotScope},
-		{Analyzer: ctxlease.Analyzer, Applies: inLeaseScope},
-		// The static race pair: sharedmut composes the goroutine topology
-		// with per-statement locksets to flag unsynchronized shared state;
-		// wgdiscipline pins the WaitGroup pairing rules that make the
-		// topology's join inferences sound. Whole-program by construction
-		// (roots spawned in one package run code from another), so again
-		// the pattern driver is authoritative.
-		{Analyzer: sharedmut.Analyzer, Applies: inRaceScope},
-		{Analyzer: wgdiscipline.Analyzer, Applies: inRaceScope},
 	}
 }
 
 // Run loads the patterns and applies the suite.
 func Run(dir string, patterns ...string) ([]analysis.Finding, error) {
-	findings, _, err := RunTimed(dir, patterns...)
-	return findings, err
-}
-
-// RunTimed is Run plus per-analyzer wall-clock timings, slowest first —
-// the data behind divlint -timing and the CI lint time budget.
-func RunTimed(dir string, patterns ...string) ([]analysis.Finding, []analysis.Timing, error) {
 	pkgs, err := analysis.Load(dir, patterns...)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return analysis.RunAnalyzersTimed(pkgs, Suite())
+	return analysis.RunAnalyzers(pkgs, Suite())
 }
 
 // Audit loads the patterns and reports stale lint:allow directives — ones

@@ -27,8 +27,7 @@ func TestTreeIsClean(t *testing.T) {
 func TestSuiteComplete(t *testing.T) {
 	want := []string{
 		"determinism", "specstring", "conservation", "sinkerr",
-		"isolation", "lineaddr", "hotalloc", "ctxlease",
-		"sharedmut", "wgdiscipline",
+		"isolation", "lineaddr", "hotalloc",
 	}
 	suite := divlint.Suite()
 	if len(suite) != len(want) {

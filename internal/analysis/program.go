@@ -9,8 +9,8 @@ import (
 // Program is the whole-program view handed to flow-sensitive analyzers: the
 // full set of loaded packages, a lazily built call graph over them, and a
 // cache of per-package (and program-wide) facts so expensive derived data —
-// write summaries, reachability sets — is computed once per driver run, not
-// once per (analyzer, package) pair.
+// the reachability sets isolation and hotalloc walk — is computed once per
+// driver run, not once per (analyzer, package) pair.
 //
 // Every driver builds one Program per load: the pattern driver and the
 // zero-findings regression test see the whole module, the analysistest

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"go/token"
 	"sort"
-	"time"
 )
 
 // Scoped pairs an analyzer with the set of packages it applies to. A nil
@@ -27,68 +26,29 @@ func (f Finding) String() string {
 	return fmt.Sprintf("%s: %s: %s", f.Pos, f.Analyzer, f.Message)
 }
 
-// Timing is one analyzer's wall-clock across every package it ran on.
-// Shared work an analyzer triggers lazily through the Program fact cache
-// (call graph, dataflow summaries, goroutine topology) is billed to the
-// first analyzer that asks for it — the timings are attribution for a
-// budget, not a microbenchmark.
-type Timing struct {
-	Analyzer string
-	Elapsed  time.Duration
-	// Packages is how many packages the analyzer actually ran on after
-	// scoping.
-	Packages int
-}
-
 // RunAnalyzers applies each scoped analyzer to each package, honoring
 // lint:allow suppressions, and returns findings sorted by position. Type
 // errors in any package abort the run: analyzers need sound type info.
 func RunAnalyzers(pkgs []*Package, analyzers []Scoped) ([]Finding, error) {
-	findings, _, err := RunAnalyzersTimed(pkgs, analyzers)
-	return findings, err
-}
-
-// RunAnalyzersTimed is RunAnalyzers plus per-analyzer wall-clock timings,
-// sorted slowest first (ties by name).
-func RunAnalyzersTimed(pkgs []*Package, analyzers []Scoped) ([]Finding, []Timing, error) {
 	var out []Finding
-	elapsed := map[string]*Timing{}
 	prog := NewProgram(pkgs)
 	for _, pkg := range pkgs {
 		if len(pkg.TypeErrors) > 0 {
-			return nil, nil, fmt.Errorf("%s: type checking failed: %v", pkg.ImportPath, pkg.TypeErrors[0])
+			return nil, fmt.Errorf("%s: type checking failed: %v", pkg.ImportPath, pkg.TypeErrors[0])
 		}
 		for _, sc := range analyzers {
 			if sc.Applies != nil && !sc.Applies(pkg.ImportPath) {
 				continue
 			}
-			start := time.Now()
 			diags, err := RunOne(sc.Analyzer, pkg, prog)
 			if err != nil {
-				return nil, nil, fmt.Errorf("%s: %s: %v", pkg.ImportPath, sc.Analyzer.Name, err)
+				return nil, fmt.Errorf("%s: %s: %v", pkg.ImportPath, sc.Analyzer.Name, err)
 			}
-			tm := elapsed[sc.Analyzer.Name]
-			if tm == nil {
-				tm = &Timing{Analyzer: sc.Analyzer.Name}
-				elapsed[sc.Analyzer.Name] = tm
-			}
-			tm.Elapsed += time.Since(start)
-			tm.Packages++
 			for _, d := range diags {
 				out = append(out, Finding{Pos: pkg.Fset.Position(d.Pos), Analyzer: d.Category, Message: d.Message})
 			}
 		}
 	}
-	timings := make([]Timing, 0, len(elapsed))
-	for _, tm := range elapsed {
-		timings = append(timings, *tm)
-	}
-	sort.Slice(timings, func(i, j int) bool {
-		if timings[i].Elapsed != timings[j].Elapsed {
-			return timings[i].Elapsed > timings[j].Elapsed
-		}
-		return timings[i].Analyzer < timings[j].Analyzer
-	})
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]
 		if a.Pos.Filename != b.Pos.Filename {
@@ -102,7 +62,7 @@ func RunAnalyzersTimed(pkgs []*Package, analyzers []Scoped) ([]Finding, []Timing
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	return out, timings, nil
+	return out, nil
 }
 
 // RunOne applies a single analyzer to a single package and returns the

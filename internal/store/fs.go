@@ -140,11 +140,8 @@ const breakEpoch = time.Minute
 // An existing, unexpired lease loses the race; an expired one is broken by
 // removeLease, and the claim is retried once.
 func (s *FS) TryLease(name string, ttl time.Duration) (func() error, bool, error) {
-	if strings.ContainsAny(name, "/\\ \t\n") {
-		return nil, false, fmt.Errorf("store: lease name %q is not filesystem-safe", name)
-	}
-	if ttl <= 0 {
-		return nil, false, fmt.Errorf("store: lease ttl %v must be positive", ttl)
+	if err := checkLease(name, ttl); err != nil {
+		return nil, false, err
 	}
 	path := filepath.Join(s.root, "leases", name+".lock")
 	own := leaseFile{Owner: fmt.Sprintf("%d-%d", os.Getpid(), seq.Add(1)), Expires: s.now().Add(ttl).UnixNano()}

@@ -79,6 +79,9 @@ func (m *Mem) Corrupt(digest string, mutate func([]byte) []byte) {
 
 // TryLease implements Store.
 func (m *Mem) TryLease(name string, ttl time.Duration) (func() error, bool, error) {
+	if err := checkLease(name, ttl); err != nil {
+		return nil, false, err
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	nowNS := m.now().UnixNano()

@@ -124,9 +124,23 @@ type Store interface {
 	// TryLease attempts to acquire an advisory lease on name for ttl.
 	// It returns (release, true, nil) on success; (nil, false, nil) when the
 	// lease is held, unexpired, by someone else. Expired leases are broken
-	// and re-acquired. Leases are advisory: they serialize work, not data —
-	// Put never requires one.
+	// and re-acquired. A name holding a slash, backslash, space, tab or
+	// newline, or a non-positive ttl, is an error. Leases are advisory: they
+	// serialize work, not data — Put never requires one.
 	TryLease(name string, ttl time.Duration) (release func() error, ok bool, err error)
+}
+
+// checkLease refuses the TryLease arguments no backend may grant: a name FS
+// could not use as a lockfile name, and a non-positive ttl, whose lease
+// would have expired when granted.
+func checkLease(name string, ttl time.Duration) error {
+	if strings.ContainsAny(name, "/\\ \t\n") {
+		return fmt.Errorf("store: lease name %q is not filesystem-safe", name)
+	}
+	if ttl <= 0 {
+		return fmt.Errorf("store: lease ttl %v must be positive", ttl)
+	}
+	return nil
 }
 
 // crcTable is the Castagnoli polynomial, the conventional choice for storage

@@ -234,6 +234,30 @@ func TestLeaseLifecycle(t *testing.T) {
 	})
 }
 
+// TestLeaseRejectsBadArguments: both backends refuse a non-positive ttl,
+// whose lease would be expired when granted, and a name that is not
+// filesystem-safe.
+func TestLeaseRejectsBadArguments(t *testing.T) {
+	backends(t, func(t *testing.T, s Store, _ *fakeClock) {
+		for _, c := range []struct {
+			name string
+			ttl  time.Duration
+		}{
+			{"point", 0},
+			{"point", -time.Second},
+			{"a/b", time.Minute},
+			{`a\b`, time.Minute},
+			{"a b", time.Minute},
+			{"a\tb", time.Minute},
+			{"a\nb", time.Minute},
+		} {
+			if release, ok, err := s.TryLease(c.name, c.ttl); err == nil || ok || release != nil {
+				t.Errorf("TryLease(%q, %v): ok=%v err=%v, want an error", c.name, c.ttl, ok, err)
+			}
+		}
+	})
+}
+
 // TestConcurrentWritersOneKey: many goroutines racing Put/Get on one digest
 // (run under -race in CI). Every Get must observe either absence or a fully
 // valid record — never a torn one.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -219,6 +220,47 @@ func TestLeaseSkipsHeldPoints(t *testing.T) {
 	}
 	if sum.Computed != 1 || sum.Hits != 3 || len(sum.Pending) != 0 {
 		t.Errorf("second run summary %+v, want 1 computed / 3 hits", sum)
+	}
+}
+
+// cancelOnLease is a store that cancels the sweep's context the moment it
+// grants a lease, so the run is cancelled while it holds a point.
+type cancelOnLease struct {
+	*store.Mem
+	cancel context.CancelFunc
+}
+
+func (s cancelOnLease) TryLease(name string, ttl time.Duration) (func() error, bool, error) {
+	release, ok, err := s.Mem.TryLease(name, ttl)
+	if ok {
+		s.cancel()
+	}
+	return release, ok, err
+}
+
+// TestCancelWhileLeasedReleases: a run cancelled while it holds a point's
+// lease hands the cancellation to the engine, persists nothing and releases
+// the lease, so another process can take the point at once.
+func TestCancelWhileLeasedReleases(t *testing.T) {
+	g := testGrid(t, 10_000)
+	g.Points = g.Points[:1]
+	p := g.Points[0]
+	st := store.NewMem()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sum, err := Run(ctx, g, Options{Store: cancelOnLease{st, cancel}, Engine: runner.New()})
+	if !errors.Is(err, context.Canceled) || sum.Computed != 0 {
+		t.Fatalf("Run = %+v, %v; want context.Canceled with nothing computed", sum, err)
+	}
+	if done, err := g.has(st, p); err != nil || done {
+		t.Errorf("cancelled point persisted: has=%v err=%v", done, err)
+	}
+	release, ok, err := st.TryLease(leaseName(g.PointDigest(p)), time.Minute)
+	if err != nil || !ok {
+		t.Fatalf("cancelled point's lease still held: ok=%v err=%v", ok, err)
+	}
+	if err := release(); err != nil {
+		t.Fatal(err)
 	}
 }
 
