@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all ci vet lint build test short race race-stress perfbench bench bench-json fuzz
+.PHONY: all ci vet lint build test short race race-stress perfbench fuzz
 
 # The default target runs the full local gate: lint (go vet + divlint),
 # build, the plain test suite, and the nested benchmark module's vet + tests.
@@ -53,20 +53,6 @@ race-stress:
 perfbench:
 	GOWORK=off GOPROXY=off $(GO) -C perfbench vet ./...
 	GOWORK=off GOPROXY=off $(GO) -C perfbench test ./...
-
-# bench runs every benchmark at a steady-state budget with allocation
-# reporting; -benchtime 1x hid both warmup effects and the alloc columns.
-bench:
-	$(GO) test -bench . -benchtime 2s -benchmem -run '^$$' .
-
-# bench-json emits the machine-readable trajectory (see BENCH_*.json and
-# EXPERIMENTS.md "Performance methodology"). LABEL names the measurement;
-# BENCH_OUT is the artifact path.
-LABEL ?= dev
-BENCH_OUT ?= bench.json
-bench-json:
-	$(GO) run ./cmd/benchjson -label $(LABEL) -o $(BENCH_OUT)
-	$(GO) run ./cmd/benchjson -validate $(BENCH_OUT)
 
 # fuzz smoke-tests the spec-string grammar (no panics, normalized names are
 # fixed points) and the store's two readers: the record decoder and the

@@ -1,374 +1,316 @@
-// Command benchjson runs the repository's core benchmarks and emits (or
-// validates) a machine-readable trajectory file — the committed BENCH_*.json
-// history that makes performance claims reproducible across PRs. Each entry
-// records one benchmark on one host; the committed file holds before/after
-// pairs so re-anchors can see the curve, and CI's bench-smoke job replays a
-// quick pass and validates the artifact's schema and the zero-allocation
-// pins.
+// Command benchjson records and validates the committed BENCH_*.json files
+// that back speed claims. Run it from the root of a divlab checkout:
 //
-// Usage:
+//	benchjson -label NAME -workload W [-seed N] -o FILE PARENT_DIR CHANGE_DIR
+//	benchjson -validate [FILE...]
 //
-//	benchjson [-quick] [-label NAME] [-append FILE] [-o FILE]
-//	benchjson [-cpuprofile FILE] [-memprofile FILE] ...
-//	benchjson -validate FILE
-//
-// -cpuprofile/-memprofile pass through to `go test`; when more than one
-// benchmark runs, the bench name is inserted before the file extension so
-// successive runs do not clobber each other's profiles.
+// Recording reads perfbench runs captured one file per run (EXPERIMENTS.md,
+// "Performance methodology"), pairs the n-th files of the two directories in
+// name order, and adds one divlab-bench/v2 entry per end-to-end metric of
+// BENCHMARK.json to FILE. -validate (default: every BENCH_*.json) holds each
+// v2 entry's change median to its parent median within the metric's bound;
+// v1 files, from the retired `go test` benchmark harness, get a shape check.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
+	"math"
 	"os"
-	"os/exec"
-	"regexp"
+	"path/filepath"
 	"runtime"
 	"sort"
-	"strconv"
 	"strings"
+
+	"divlab/internal/stats"
 )
 
-// Schema identifies the trajectory file format.
-const Schema = "divlab-bench/v1"
+const schemaV1, schemaV2 = "divlab-bench/v1", "divlab-bench/v2"
 
-// Entry is one benchmark measurement. NsPerOp, BytesPerOp and AllocsPerOp
-// come from the standard testing metrics; InstsPerSec and SimsPerSec are the
-// benchmarks' own ReportMetric outputs (zero when a benchmark does not
-// report them). With -count > 1 every field is the per-field median.
-type Entry struct {
-	Label       string  `json:"label"`
-	Bench       string  `json:"bench"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	InstsPerSec float64 `json:"insts_per_sec,omitempty"`
-	SimsPerSec  float64 `json:"sims_per_sec,omitempty"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	Host        string  `json:"host"`
-}
-
-// File is the trajectory artifact.
+// File is a divlab-bench/v2 trajectory file.
 type File struct {
 	Schema  string  `json:"schema"`
 	Entries []Entry `json:"entries"`
 }
 
-// spec names one benchmark and the benchtime it runs at.
-type spec struct {
-	name      string
-	benchtime string
+// Entry is one end-to-end metric of one workload over Pairs parent/change
+// pairs. ChangeWon counts the pairs the change was strictly better in.
+type Entry struct {
+	Label     string  `json:"label"`
+	Workload  string  `json:"workload"`
+	Seed      uint64  `json:"seed"`
+	Metric    string  `json:"metric"`
+	Unit      string  `json:"unit"`
+	Pairs     int     `json:"pairs"`
+	Parent    Summary `json:"parent"`
+	Change    Summary `json:"change"`
+	ChangeWon int     `json:"change_won"`
+	Host      string  `json:"host"`
 }
 
-func fullSpecs() []spec {
-	return []spec{
-		{"BenchmarkSimulator", "2s"},
-		{"BenchmarkAccessPath", "2s"},
-		{"BenchmarkParallelMatrix", "1x"},
-	}
+// Summary is one side's median and nearest-rank quartiles.
+type Summary struct {
+	Median float64 `json:"median"`
+	Q1     float64 `json:"q1"`
+	Q3     float64 `json:"q3"`
 }
 
-// quickSpecs bound the smoke pass to seconds: single-shot simulator runs and
-// a fixed-iteration access path; the matrix benchmark is full-suite-sized
-// and stays out of CI.
-func quickSpecs() []spec {
-	return []spec{
-		{"BenchmarkSimulator", "1x"},
-		{"BenchmarkAccessPath", "20000x"},
-	}
+// benchmark is what BENCHMARK.json names: workloads and end-to-end metrics.
+type benchmark struct {
+	workloads map[string]bool
+	metrics   map[string]metricSpec
+	endToEnd  []metricSpec // in BENCHMARK.json's order
+}
+
+type metricSpec struct {
+	Name, Unit, Better string
+	Bound              float64
+}
+
+// metricValue is one metric of perfbench's final line.
+type metricValue struct {
+	Value float64 `json:"value"`
+	Unit  string  `json:"unit"`
 }
 
 func main() {
-	var (
-		quick    = flag.Bool("quick", false, "smoke mode: short benchtimes, no matrix benchmark")
-		label    = flag.String("label", "dev", "label recorded on every emitted entry")
-		appendTo = flag.String("append", "", "existing trajectory file whose entries are preserved in front of this run's")
-		out      = flag.String("o", "", "output path (default stdout)")
-		count    = flag.Int("count", 1, "benchmark repetitions; entries hold per-field medians")
-		validate = flag.String("validate", "", "validate FILE against the schema, the zero-alloc pins and the throughput gate, then exit")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile per benchmark (bench name inserted before the extension when several run)")
-		memProf  = flag.String("memprofile", "", "write a heap profile per benchmark (bench name inserted before the extension when several run)")
-	)
+	label := flag.String("label", "", "label of the recorded entries")
+	workload := flag.String("workload", "", "perfbench workload of the captured runs")
+	seed := flag.Uint64("seed", 1, "perfbench seed of the captured runs")
+	out := flag.String("o", "", "trajectory file to add the entries to")
+	validate := flag.Bool("validate", false, "validate the named trajectory files (default: BENCH_*.json)")
 	flag.Parse()
-
-	if *validate != "" {
-		if err := validateFile(*validate); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", *validate, err)
-			os.Exit(1)
+	bm, err := loadBenchmark("BENCHMARK.json")
+	check(err)
+	if *validate {
+		paths := flag.Args()
+		if len(paths) == 0 {
+			paths, _ = filepath.Glob("BENCH_*.json")
 		}
-		fmt.Printf("%s: valid (%s)\n", *validate, Schema)
+		for _, path := range paths {
+			b, err := os.ReadFile(path)
+			schema := ""
+			if err == nil {
+				schema, err = validateFile(b, bm)
+			}
+			check(err, path)
+			fmt.Printf("%s: valid (%s)\n", path, schema)
+		}
 		return
 	}
-
-	specs := fullSpecs()
-	if *quick {
-		specs = quickSpecs()
+	if *label == "" || *out == "" || flag.NArg() != 2 {
+		check(errors.New("usage: benchjson -label NAME -workload W [-seed N] -o FILE PARENT_DIR CHANGE_DIR"))
 	}
-	f := File{Schema: Schema}
-	if *appendTo != "" {
-		prev, err := readFile(*appendTo)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-			os.Exit(1)
+	parent, err := readRuns(bm, flag.Arg(0))
+	check(err)
+	change, err := readRuns(bm, flag.Arg(1))
+	check(err)
+	entries, err := record(bm, *label, *workload, *seed, parent, change)
+	check(err)
+	f := File{Schema: schemaV2}
+	if b, err := os.ReadFile(*out); err == nil {
+		if err := json.Unmarshal(b, &f); err != nil || f.Schema != schemaV2 {
+			check(fmt.Errorf("not a %s file (%v)", schemaV2, err), *out)
 		}
-		f.Entries = prev.Entries
+	} else if !errors.Is(err, fs.ErrNotExist) {
+		check(err)
 	}
-	host := hostString()
-	for _, s := range specs {
-		e, err := runBench(s, *count, profArgs(s.name, len(specs) > 1, *cpuProf, *memProf))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", s.name, err)
-			os.Exit(1)
-		}
-		e.Label = *label
-		e.Host = host
-		f.Entries = append(f.Entries, e)
-	}
-
+	f.Entries = append(f.Entries, entries...)
 	enc, err := json.MarshalIndent(f, "", "  ")
+	check(err)
+	check(os.WriteFile(*out, append(enc, '\n'), 0o644))
+}
+
+// check exits with err, after the file it concerns, unless err is nil.
+func check(err error, file ...string) {
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
-		os.Exit(1)
-	}
-	enc = append(enc, '\n')
-	if *out == "" {
-		os.Stdout.Write(enc)
-		return
-	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
+		fmt.Fprintln(os.Stderr, "benchjson:", strings.Join(append(file, err.Error()), ": "))
 		os.Exit(1)
 	}
 }
 
-// profArgs builds the go-test profiling flags for one benchmark. With
-// several benchmarks in the run, each would overwrite the last one's
-// profile, so the bench name is spliced in before the extension.
-func profArgs(bench string, multi bool, cpuProf, memProf string) []string {
-	var args []string
-	for _, p := range []struct{ flag, path string }{
-		{"-cpuprofile", cpuProf},
-		{"-memprofile", memProf},
-	} {
-		if p.path == "" {
-			continue
-		}
-		path := p.path
-		if multi {
-			if dot := strings.LastIndex(path, "."); dot > 0 {
-				path = path[:dot] + "." + bench + path[dot:]
-			} else {
-				path = path + "." + bench
-			}
-		}
-		args = append(args, p.flag, path)
+func loadBenchmark(path string) (*benchmark, error) {
+	var raw struct {
+		Workloads []struct{ Name string }
+		EndToEnd  []metricSpec `json:"end_to_end"`
 	}
-	return args
-}
-
-// runBench executes one benchmark `count` times via `go test` and reduces
-// the parsed result lines to a per-field median entry.
-func runBench(s spec, count int, extra []string) (Entry, error) {
-	args := []string{"test", "-run", "^$", "-bench", "^" + s.name + "$",
-		"-benchtime", s.benchtime, "-benchmem", "-count", strconv.Itoa(count)}
-	args = append(args, extra...)
-	args = append(args, ".")
-	cmd := exec.Command("go", args...)
-	cmd.Stderr = os.Stderr
-	out, err := cmd.Output()
+	b, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(b, &raw)
+	}
 	if err != nil {
-		return Entry{}, fmt.Errorf("go %s: %w", strings.Join(args, " "), err)
+		return nil, fmt.Errorf("%w (run from the root of a divlab checkout)", err)
 	}
-	runs := parseBenchLines(string(out), s.name)
-	if len(runs) == 0 {
-		return Entry{}, fmt.Errorf("no benchmark output parsed")
+	bm := &benchmark{workloads: map[string]bool{}, metrics: map[string]metricSpec{}, endToEnd: raw.EndToEnd}
+	for _, w := range raw.Workloads {
+		bm.workloads[w.Name] = true
 	}
-	return Entry{
-		Bench:       s.name,
-		NsPerOp:     median(pick(runs, func(e Entry) float64 { return e.NsPerOp })),
-		InstsPerSec: median(pick(runs, func(e Entry) float64 { return e.InstsPerSec })),
-		SimsPerSec:  median(pick(runs, func(e Entry) float64 { return e.SimsPerSec })),
-		AllocsPerOp: median(pick(runs, func(e Entry) float64 { return e.AllocsPerOp })),
-		BytesPerOp:  median(pick(runs, func(e Entry) float64 { return e.BytesPerOp })),
-	}, nil
+	for _, m := range raw.EndToEnd {
+		if m.Better != "lower" && m.Better != "higher" {
+			return nil, fmt.Errorf("%s: %s is better %q, want lower or higher", path, m.Name, m.Better)
+		}
+		bm.metrics[m.Name] = m
+	}
+	return bm, nil
 }
 
-// benchName strips the -GOMAXPROCS suffix go test appends to benchmark names.
-var benchSuffix = regexp.MustCompile(`-\d+$`)
+// gain is how much better a is than b, as a fraction of b.
+func (m metricSpec) gain(a, b float64) float64 {
+	if m.Better == "lower" {
+		return (b - a) / b
+	}
+	return (a - b) / b
+}
 
-// parseBenchLines extracts every result line for the named benchmark. A line
-// looks like:
-//
-//	BenchmarkSimulator-4  349  6907049 ns/op  14.48 MB/s  14477963 insts/sec  1122524 B/op  77 allocs/op
-func parseBenchLines(out, name string) []Entry {
-	var runs []Entry
-	for _, line := range strings.Split(out, "\n") {
-		fields := strings.Fields(line)
-		if len(fields) < 4 || benchSuffix.ReplaceAllString(fields[0], "") != name {
-			continue
+// readRuns reads the final line of each file in dir, in name order, as a run.
+// A run must be correct, fail nothing, and carry exactly the end-to-end
+// metrics of BENCHMARK.json in their units.
+func readRuns(bm *benchmark, dir string) ([]map[string]float64, error) {
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var runs []map[string]float64
+	for _, f := range files {
+		path := filepath.Join(dir, f.Name())
+		var line struct {
+			Correct bool
+			Failed  int
+			Metrics map[string]metricValue
 		}
-		e := Entry{Bench: name}
-		for i := 2; i+1 < len(fields); i += 2 {
-			v, err := strconv.ParseFloat(fields[i], 64)
-			if err != nil {
-				continue
+		out, err := os.ReadFile(path)
+		if out = bytes.TrimRight(out, "\n"); err == nil {
+			err = json.Unmarshal(out[bytes.LastIndexByte(out, '\n')+1:], &line)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", path, err)
+		}
+		if !line.Correct || line.Failed != 0 {
+			return nil, fmt.Errorf("%s: correct=%v with %d failed: record only correct runs", path, line.Correct, line.Failed)
+		}
+		run := map[string]float64{}
+		for name, v := range line.Metrics {
+			if m, ok := bm.metrics[name]; !ok || v.Unit != m.Unit {
+				return nil, fmt.Errorf("%s: %s in %q is not an end-to-end metric of BENCHMARK.json", path, name, v.Unit)
 			}
-			switch fields[i+1] {
-			case "ns/op":
-				e.NsPerOp = v
-			case "insts/sec":
-				e.InstsPerSec = v
-			case "sims/sec":
-				e.SimsPerSec = v
-			case "B/op":
-				e.BytesPerOp = v
-			case "allocs/op":
-				e.AllocsPerOp = v
+			run[name] = v.Value
+		}
+		if len(run) != len(bm.endToEnd) {
+			return nil, fmt.Errorf("%s: %d of the %d end-to-end metrics", path, len(run), len(bm.endToEnd))
+		}
+		runs = append(runs, run)
+	}
+	return runs, nil
+}
+
+// record pairs the n-th parent run with the n-th change run and summarizes
+// every end-to-end metric. Ties count for neither side.
+func record(bm *benchmark, label, workload string, seed uint64, parent, change []map[string]float64) ([]Entry, error) {
+	if !bm.workloads[workload] {
+		return nil, fmt.Errorf("workload %q is not in BENCHMARK.json", workload)
+	}
+	if len(parent) == 0 || len(parent) != len(change) {
+		return nil, fmt.Errorf("%d parent and %d change runs: record equal, nonzero counts", len(parent), len(change))
+	}
+	var entries []Entry
+	host := hostString()
+	for _, m := range bm.endToEnd {
+		e := Entry{Label: label, Workload: workload, Seed: seed, Metric: m.Name, Unit: m.Unit, Pairs: len(parent), Host: host}
+		p, c := make([]float64, len(parent)), make([]float64, len(change))
+		for i := range parent {
+			p[i], c[i] = parent[i][m.Name], change[i][m.Name]
+			if m.gain(c[i], p[i]) > 0 {
+				e.ChangeWon++
 			}
 		}
-		if e.NsPerOp > 0 {
-			runs = append(runs, e)
-		}
+		e.Parent, e.Change = summarize(p), summarize(c)
+		entries = append(entries, e)
 	}
-	return runs
+	return entries, nil
 }
 
-func pick(runs []Entry, f func(Entry) float64) []float64 {
-	vs := make([]float64, len(runs))
-	for i, r := range runs {
-		vs[i] = f(r)
-	}
-	return vs
+// summarize takes quartiles by nearest rank, as perfbench's percentile does.
+func summarize(xs []float64) Summary {
+	sort.Float64s(xs)
+	rank := func(p float64) float64 { return xs[max(int(math.Ceil(p*float64(len(xs))/100-1e-9))-1, 0)] }
+	return Summary{Median: stats.Median(xs), Q1: rank(25), Q3: rank(75)}
 }
 
-func median(vs []float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	sort.Float64s(vs)
-	n := len(vs)
-	if n%2 == 1 {
-		return vs[n/2]
-	}
-	return (vs[n/2-1] + vs[n/2]) / 2
-}
-
-// hostString identifies the measurement host: the CPU model when readable
-// (Linux), else OS/arch.
+// hostString names the measurement host: its CPU model, else OS/arch.
 func hostString() string {
-	if b, err := os.ReadFile("/proc/cpuinfo"); err == nil {
-		for _, line := range strings.Split(string(b), "\n") {
-			if name, ok := strings.CutPrefix(line, "model name"); ok {
-				if _, v, ok := strings.Cut(name, ":"); ok {
-					return strings.TrimSpace(v)
-				}
-			}
+	b, _ := os.ReadFile("/proc/cpuinfo")
+	if _, model, ok := strings.Cut(string(b), "\nmodel name"); ok {
+		line, _, _ := strings.Cut(model, "\n")
+		if _, v, ok := strings.Cut(line, ":"); ok {
+			return strings.TrimSpace(v)
 		}
 	}
 	return runtime.GOOS + "/" + runtime.GOARCH
 }
 
-func readFile(path string) (File, error) {
-	b, err := os.ReadFile(path)
+// validateFile checks a trajectory file and returns its schema. Both sides
+// of a v2 entry come from one alternating session, so the gate compares them
+// directly.
+func validateFile(b []byte, bm *benchmark) (string, error) {
+	var v1 struct {
+		Schema  string
+		Entries []struct {
+			Label, Bench, Host string
+			NsPerOp            float64 `json:"ns_per_op"`
+		}
+	}
+	if err := json.Unmarshal(b, &v1); err != nil {
+		return "", err
+	}
+	if len(v1.Entries) == 0 {
+		return "", errors.New("no entries")
+	}
+	if v1.Schema == schemaV1 {
+		for i, e := range v1.Entries {
+			if e.Label == "" || e.Bench == "" || e.Host == "" || !(e.NsPerOp > 0) {
+				return "", fmt.Errorf("entry %d: label, bench, host and a positive ns_per_op are required", i)
+			}
+		}
+		return schemaV1, nil
+	}
+	if v1.Schema != schemaV2 {
+		return "", fmt.Errorf("schema %q, want %q or %q", v1.Schema, schemaV2, schemaV1)
+	}
+	var f File // decoded strictly: a misspelt field must not read as zero
+	dec := json.NewDecoder(bytes.NewReader(b))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(&f)
 	if err != nil {
-		return File{}, err
+		return "", err
 	}
-	var f File
-	if err := json.Unmarshal(b, &f); err != nil {
-		return File{}, fmt.Errorf("%s: %w", path, err)
-	}
-	return f, nil
-}
-
-// maxSimulatorAllocs pins BenchmarkSimulator's steady-state allocation
-// budget: 76 allocs per single-core run, the PR 6 floor (per-run result and
-// report bookkeeping; the access loop itself is allocation-free). Together
-// with the static hotalloc analyzer the contract is bracketed from both
-// sides — lint time proves the access path cannot allocate, bench time
-// proves the whole run stays at the floor.
-const maxSimulatorAllocs = 76
-
-// simThroughputSlack is the host-noise tolerance on the throughput gate:
-// the latest BenchmarkSimulator entry must reach at least this fraction of
-// the previous same-host entry's insts/sec. Committed entries are medians
-// over repetitions, but shared-host virtualization still drifts the
-// absolute numbers between measurement windows by double-digit percent —
-// the slack absorbs that drift while a real regression (a reverted
-// optimization, an alloc on the hot loop) still lands well below it.
-const simThroughputSlack = 0.85
-
-// validateFile checks the schema shape and the performance contracts the
-// repository pins: BenchmarkAccessPath (the steady-state demand path) must
-// report exactly zero allocations per operation in every entry, the latest
-// BenchmarkSimulator entry must stay at or under the per-run allocation
-// floor, and simulator throughput must not regress — the latest
-// BenchmarkSimulator insts/sec must reach simThroughputSlack of the
-// previous entry measured on the same host (entries from other hosts are
-// not comparable and are skipped). The simulator pins apply only to the
-// latest entry because the trajectory file deliberately preserves
-// pre-optimization history ("-before" labels) — the contract binds the
-// present, the history shows the curve.
-func validateFile(path string) error {
-	f, err := readFile(path)
-	if err != nil {
-		return err
-	}
-	if f.Schema != Schema {
-		return fmt.Errorf("schema %q, want %q", f.Schema, Schema)
-	}
-	if len(f.Entries) == 0 {
-		return fmt.Errorf("no entries")
-	}
-	lastSim := -1
 	for i, e := range f.Entries {
-		if e.Bench == "" || e.Label == "" || e.Host == "" {
-			return fmt.Errorf("entry %d: bench, label and host are required", i)
+		m, ok := bm.metrics[e.Metric]
+		switch {
+		case e.Label == "" || e.Host == "":
+			err = errors.New("label and host are required")
+		case !bm.workloads[e.Workload]:
+			err = errors.New("workload is not in BENCHMARK.json")
+		case !ok:
+			err = errors.New("not an end-to-end metric of BENCHMARK.json")
+		case e.Unit != m.Unit:
+			err = fmt.Errorf("unit %q, BENCHMARK.json gives %q", e.Unit, m.Unit)
+		case e.Pairs < 1 || e.ChangeWon < 0 || e.ChangeWon > e.Pairs:
+			err = fmt.Errorf("change won %d of %d pairs", e.ChangeWon, e.Pairs)
+		case !ordered(e.Parent) || !ordered(e.Change):
+			err = fmt.Errorf("quartiles out of order: parent %+v, change %+v", e.Parent, e.Change)
+		case m.gain(e.Change.Median, e.Parent.Median) < -m.Bound:
+			err = fmt.Errorf("change median %g is worse than the parent's %g by more than the %g bound",
+				e.Change.Median, e.Parent.Median, m.Bound)
 		}
-		if e.NsPerOp <= 0 {
-			return fmt.Errorf("entry %d (%s): ns_per_op must be positive", i, e.Bench)
-		}
-		if e.Bench == "BenchmarkAccessPath" && e.AllocsPerOp != 0 {
-			return fmt.Errorf("entry %d (%s %s): allocs_per_op = %v, the demand path is pinned at 0",
-				i, e.Label, e.Bench, e.AllocsPerOp)
-		}
-		if e.Bench == "BenchmarkSimulator" {
-			lastSim = i
-		}
-	}
-	if lastSim >= 0 {
-		e := f.Entries[lastSim]
-		if e.AllocsPerOp > maxSimulatorAllocs {
-			return fmt.Errorf("entry %d (%s %s): allocs_per_op = %v, the per-run budget is pinned at %d",
-				lastSim, e.Label, e.Bench, e.AllocsPerOp, maxSimulatorAllocs)
-		}
-		if err := checkThroughput(f.Entries, lastSim); err != nil {
-			return err
+		if err != nil {
+			return "", fmt.Errorf("entry %d (%s %s seed %d %s): %w", i, e.Label, e.Workload, e.Seed, e.Metric, err)
 		}
 	}
-	return nil
+	return schemaV2, nil
 }
 
-// checkThroughput enforces the simulator throughput gate: the latest
-// BenchmarkSimulator entry against the previous one from the same host.
-// Entries without an insts/sec metric (older schema producers) and entries
-// from other hosts are skipped; with no comparable predecessor the gate
-// passes vacuously.
-func checkThroughput(entries []Entry, lastSim int) error {
-	latest := entries[lastSim]
-	if latest.InstsPerSec <= 0 {
-		return nil
-	}
-	for i := lastSim - 1; i >= 0; i-- {
-		prev := entries[i]
-		if prev.Bench != latest.Bench || prev.Host != latest.Host || prev.InstsPerSec <= 0 {
-			continue
-		}
-		if floor := prev.InstsPerSec * simThroughputSlack; latest.InstsPerSec < floor {
-			return fmt.Errorf("entry %d (%s %s): %.0f insts/sec regresses past entry %d (%s): %.0f insts/sec (floor %.0f at %v slack)",
-				lastSim, latest.Label, latest.Bench, latest.InstsPerSec,
-				i, prev.Label, prev.InstsPerSec, floor, simThroughputSlack)
-		}
-		return nil
-	}
-	return nil
-}
+func ordered(s Summary) bool { return s.Q1 <= s.Median && s.Median <= s.Q3 }

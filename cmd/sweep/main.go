@@ -33,6 +33,8 @@ import (
 	_ "net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
+	"strings"
 	"syscall"
 	"text/tabwriter"
 	"time"
@@ -163,18 +165,22 @@ func run(what string, insts uint64, jobs int, storeDir, shardSpec string, merge 
 	return nil
 }
 
-// parseShard reads "i/n" (empty: the whole grid).
+// parseShard reads exactly "i/n", two unsigned decimals (empty: the whole
+// grid).
 func parseShard(s string) (shard, shards int, err error) {
 	if s == "" {
 		return 0, 1, nil
 	}
-	if _, err := fmt.Sscanf(s, "%d/%d", &shard, &shards); err != nil {
+	is, ns, _ := strings.Cut(s, "/")
+	i, errI := strconv.ParseUint(is, 10, 31)
+	n, errN := strconv.ParseUint(ns, 10, 31)
+	if errI != nil || errN != nil {
 		return 0, 0, fmt.Errorf("bad -shard %q (want i/n, e.g. 0/2)", s)
 	}
-	if shards < 1 || shard < 0 || shard >= shards {
+	if n < 1 || i >= n {
 		return 0, 0, fmt.Errorf("bad -shard %q: need 0 <= i < n", s)
 	}
-	return shard, shards, nil
+	return int(i), int(n), nil
 }
 
 func gridFor(what string, insts uint64) (sweep.Grid, error) {

@@ -93,7 +93,7 @@ func run() error {
 		printList(os.Stdout)
 		return nil
 	case *keyOnly:
-		return printKey(*workload, *pf, *insts, *seed, *useBPred)
+		return printKey(os.Stdout, *workload, *pf, *insts, *seed, *useBPred)
 	case *expName != "":
 		err := runExperiments(*expName, exp.Options{
 			Insts: *insts, Seed: *seed, MixCount: *mixes,
@@ -256,7 +256,7 @@ func runWorkload(workload, pfSpec string, insts, seed uint64, useBPred bool, tra
 // its SHA-256 digest — that the engine and persistent store would use for the
 // given (workload, prefetcher) run. Useful for locating a run's record in a
 // store directory or checking what a config change does to run identity.
-func printKey(workload, pfSpec string, insts, seed uint64, useBPred bool) error {
+func printKey(out io.Writer, workload, pfSpec string, insts, seed uint64, useBPred bool) error {
 	if workload == "" {
 		return fmt.Errorf("-key needs -workload (and optionally -prefetcher)")
 	}
@@ -264,24 +264,19 @@ func printKey(workload, pfSpec string, insts, seed uint64, useBPred bool) error 
 	if !ok {
 		return fmt.Errorf("unknown workload %q", workload)
 	}
+	pf, err := sim.ByName(pfSpec)
+	if err != nil {
+		return err
+	}
 	cfg := sim.DefaultConfig(insts)
 	cfg.Seed = seed
 	cfg.UseBPred = useBPred
-	j := runner.Job{Workload: w, Config: cfg}
-	if pfSpec != "" && pfSpec != "none" {
-		n, err := sim.ByName(pfSpec)
-		if err != nil {
-			return err
-		}
-		j.Prefetcher = n
-	}
-	k, ok := runner.KeyOf(j)
+	k, ok := runner.KeyOf(runner.Job{Workload: w, Prefetcher: pf, Config: cfg})
 	if !ok {
 		return fmt.Errorf("job is uncacheable (no stable key)")
 	}
-	fmt.Print(k.Canonical())
-	fmt.Println("digest=" + k.Digest())
-	return nil
+	_, err = fmt.Fprintf(out, "%sdigest=%s\n", k.Canonical(), k.Digest())
+	return err
 }
 
 // validateReport decodes and validates a report file written with -json.

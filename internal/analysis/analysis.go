@@ -84,16 +84,6 @@ func Callee(info *types.Info, call *ast.CallExpr) *types.Func {
 	return fn
 }
 
-// CalleeName returns the fully qualified name of a call's target ("pkg/path.Func"
-// or "(*pkg/path.Recv).Method"), or "" when it cannot be resolved statically.
-func CalleeName(info *types.Info, call *ast.CallExpr) string {
-	fn := Callee(info, call)
-	if fn == nil {
-		return ""
-	}
-	return fn.FullName()
-}
-
 // Named unwraps pointers and aliases down to a named type, or nil.
 func Named(t types.Type) *types.Named {
 	if t == nil {

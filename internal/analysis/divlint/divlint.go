@@ -45,9 +45,9 @@ func inSimScope(path string) bool { return simPackages[path] }
 // implementations (divlab/internal/tpc, divlab/internal/prefetchers) are
 // deliberately out of scope: their map-backed training tables model the
 // paper's hardware storage budget and allocate while warming up, reaching
-// zero only in steady state — a property the dynamic pin
-// (BenchmarkAccessPath at 0 allocs/op, enforced by `benchjson -validate`)
-// covers and a whole-input static contract cannot.
+// zero only in steady state — a property the dynamic pins (the
+// testing.AllocsPerRun tests in internal/sim) cover and a whole-input static
+// contract cannot.
 var hotPackages = map[string]bool{
 	"divlab/internal/sim":   true,
 	"divlab/internal/mem":   true,
@@ -76,8 +76,8 @@ func Suite() []analysis.Scoped {
 		// harness (the unitchecker sees only intra-package call edges).
 		{Analyzer: isolation.Analyzer, Applies: inSimScope},
 		{Analyzer: lineaddr.Analyzer, Applies: inSimScope},
-		// hotalloc freezes the zero-alloc pin on BenchmarkAccessPath into a
-		// lint-time contract on the hot packages. It walks the same
+		// hotalloc freezes the zero-alloc pins of internal/sim's alloc tests
+		// into a lint-time contract on the hot packages. It walks the same
 		// whole-program call graph, so — like isolation — the pattern
 		// driver is its authoritative harness.
 		{Analyzer: hotalloc.Analyzer, Applies: inHotScope},

@@ -2,12 +2,11 @@
 // reachable from the pinned demand/prefetch hot-path entry points may
 // allocate.
 //
-// PR 6 pinned the access path at zero allocations dynamically
-// (BenchmarkAccessPath, enforced by `benchjson -validate`). That pin only
-// fires when the benchmark is run and only covers the configurations the
-// benchmark exercises; this analyzer holds the same contract statically, for
+// The testing.AllocsPerRun tests in internal/sim pin the access path at zero
+// allocations dynamically. Those pins only cover the configurations the
+// tests exercise; this analyzer holds the same contract statically, for
 // every configuration, at lint time. The entry set is the hot-path surface:
-// (*sim.HotPath).Access and (*sim.HotPath).OnInst (the benchmarked paths),
+// (*sim.HotPath).Access and (*sim.HotPath).OnInst (the paths those tests drive),
 // the batched dispatch spine ((*cpu.Core).StepBatch — the core's only
 // timing loop — the runner's window accumulator and sink drain,
 // (*prefetch.Sink).Issue/Advance), every
@@ -111,7 +110,7 @@ type reachFact struct {
 
 func run(pass *analysis.Pass) (interface{}, error) {
 	prog := pass.Program
-	rf := prog.Fact(nil, "hotalloc.reach", func() interface{} {
+	rf := prog.Fact("hotalloc.reach", func() interface{} {
 		g := prog.Callgraph()
 		reached, from := g.Reachable(entries(prog, g))
 		return &reachFact{reached: reached, from: from}

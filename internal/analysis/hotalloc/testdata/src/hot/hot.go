@@ -58,7 +58,7 @@ func (g *Greedy) OnAccess(ev *mem.Event, issue prefetch.Issuer) {
 	_ = v
 	g.scratch[0] = addr // ok: array write, not a map
 
-	//lint:allow hotalloc -- deliberate amortized growth, measured in BenchmarkAccessPath
+	//lint:allow hotalloc -- deliberate amortized growth, measured by the alloc tests
 	g.history = append(g.history, addr+1)
 }
 

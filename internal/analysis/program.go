@@ -8,9 +8,9 @@ import (
 
 // Program is the whole-program view handed to flow-sensitive analyzers: the
 // full set of loaded packages, a lazily built call graph over them, and a
-// cache of per-package (and program-wide) facts so expensive derived data —
-// the reachability sets isolation and hotalloc walk — is computed once per
-// driver run, not once per (analyzer, package) pair.
+// cache of program-wide facts so expensive derived data — the reachability
+// sets isolation and hotalloc walk — is computed once per driver run, not
+// once per (analyzer, package) pair.
 //
 // Every driver builds one Program per load: the pattern driver and the
 // zero-findings regression test see the whole module, the analysistest
@@ -24,17 +24,12 @@ type Program struct {
 	Packages []*Package
 
 	cg    *callgraph.Graph
-	facts map[factKey]interface{}
-}
-
-type factKey struct {
-	pkg *types.Package // nil for program-wide facts
-	key string
+	facts map[string]interface{}
 }
 
 // NewProgram wraps an already-loaded package set.
 func NewProgram(pkgs []*Package) *Program {
-	return &Program{Packages: pkgs, facts: map[factKey]interface{}{}}
+	return &Program{Packages: pkgs, facts: map[string]interface{}{}}
 }
 
 // Callgraph builds (once) and returns the static call graph over every
@@ -50,16 +45,15 @@ func (p *Program) Callgraph() *callgraph.Graph {
 	return p.cg
 }
 
-// Fact returns the cached value for (pkg, key), computing and caching it on
-// first use. pkg may be nil for program-wide facts (entry sets, reachability).
-// Drivers are single-threaded; there is no locking.
-func (p *Program) Fact(pkg *types.Package, key string, compute func() interface{}) interface{} {
-	k := factKey{pkg: pkg, key: key}
-	if v, ok := p.facts[k]; ok {
+// Fact returns the cached program-wide value for key (an entry set, a
+// reachability set), computing and caching it on first use. Drivers are
+// single-threaded; there is no locking.
+func (p *Program) Fact(key string, compute func() interface{}) interface{} {
+	if v, ok := p.facts[key]; ok {
 		return v
 	}
 	v := compute()
-	p.facts[k] = v
+	p.facts[key] = v
 	return v
 }
 

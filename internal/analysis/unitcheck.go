@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"io"
 	"os"
+	"strings"
 )
 
 // This file implements enough of the `go vet -vettool` unitchecker protocol
@@ -18,7 +19,9 @@ import (
 // The go command hands each package a JSON config naming its sources and the
 // export-data files of its dependencies; diagnostics go to stderr (or stdout
 // as JSON with -json) and a facts file must be written even though the
-// divlint analyzers exchange no facts.
+// divlint analyzers exchange no facts. The go command also hands over each
+// package's test variant; its _test.go files, which hold deliberate test
+// inputs, are left out, as the pattern driver never loads them.
 
 // VetConfig mirrors the fields of the go command's vet.cfg handed to
 // -vettool binaries.
@@ -59,30 +62,52 @@ func UnitcheckMain(args []string, analyzers []Scoped, version string) bool {
 	if cfgPath == "" {
 		return false
 	}
-	if err := unitcheck(cfgPath, analyzers, jsonOut); err != nil {
+	importPath, findings, err := unitcheck(cfgPath, analyzers)
+	if err == nil && jsonOut && importPath != "" {
+		err = writeJSONDiagnostics(os.Stdout, importPath, findings)
+	}
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "divlint:", err)
 		os.Exit(1)
+	}
+	if jsonOut {
+		return true
+	}
+	for _, f := range findings {
+		fmt.Fprintln(os.Stderr, f)
+	}
+	if len(findings) > 0 {
+		os.Exit(2)
 	}
 	return true
 }
 
-func unitcheck(cfgPath string, analyzers []Scoped, jsonOut bool) error {
+// unitcheck analyzes the package a vet config describes, without its
+// _test.go files, and returns its import path and findings. The path is
+// empty when nothing was analyzed.
+func unitcheck(cfgPath string, analyzers []Scoped) (string, []Finding, error) {
 	data, err := os.ReadFile(cfgPath)
 	if err != nil {
-		return err
+		return "", nil, err
 	}
 	var cfg VetConfig
 	if err := json.Unmarshal(data, &cfg); err != nil {
-		return fmt.Errorf("%s: %v", cfgPath, err)
+		return "", nil, fmt.Errorf("%s: %v", cfgPath, err)
 	}
 	// The go command requires the facts file to exist even when empty.
 	if cfg.VetxOutput != "" {
 		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			return err
+			return "", nil, err
 		}
 	}
-	if cfg.VetxOnly {
-		return nil
+	var files []string
+	for _, f := range cfg.GoFiles {
+		if !strings.HasSuffix(f, "_test.go") {
+			files = append(files, f)
+		}
+	}
+	if cfg.VetxOnly || len(files) == 0 {
+		return "", nil, nil
 	}
 
 	fset := token.NewFileSet()
@@ -98,30 +123,18 @@ func unitcheck(cfgPath string, analyzers []Scoped, jsonOut bool) error {
 		}
 	}
 	imp := exportImporter(fset, exports)
-	pkg, err := checkPackage(fset, imp, cfg.ImportPath, cfg.Dir, cfg.GoFiles)
+	pkg, err := checkPackage(fset, imp, cfg.ImportPath, cfg.Dir, files)
 	if err != nil {
-		return err
+		return "", nil, err
 	}
 	if len(pkg.TypeErrors) > 0 {
 		if cfg.SucceedOnTypecheckFailure {
-			return nil
+			return "", nil, nil
 		}
-		return fmt.Errorf("%s: type checking failed: %v", cfg.ImportPath, pkg.TypeErrors[0])
+		return "", nil, fmt.Errorf("%s: type checking failed: %v", cfg.ImportPath, pkg.TypeErrors[0])
 	}
 	findings, err := RunAnalyzers([]*Package{pkg}, analyzers)
-	if err != nil {
-		return err
-	}
-	if jsonOut {
-		return writeJSONDiagnostics(os.Stdout, cfg.ImportPath, findings)
-	}
-	for _, f := range findings {
-		fmt.Fprintln(os.Stderr, f)
-	}
-	if len(findings) > 0 {
-		os.Exit(2)
-	}
-	return nil
+	return cfg.ImportPath, findings, err
 }
 
 // writeJSONDiagnostics emits the go vet -json shape:

@@ -91,3 +91,30 @@ func TestPrefetchIssuePathAllocFree(t *testing.T) {
 		t.Fatal("strided stream issued no prefetches; the path under test never ran")
 	}
 }
+
+// maxRunAllocs is the allocation budget of one whole 100k-instruction
+// single-core run: the result and report bookkeeping around an access loop
+// that allocates nothing.
+const maxRunAllocs = 76
+
+// TestRunAllocBudget holds a 100k-instruction stream.pure run under tpc to
+// maxRunAllocs. The instruction stream is recorded once and replayed, as the
+// engine replays it across an experiment matrix, so the count covers the
+// simulator and not the workload generator.
+func TestRunAllocBudget(t *testing.T) {
+	w, ok := workloads.ByName("stream.pure")
+	if !ok {
+		t.Fatal("workload stream.pure not registered")
+	}
+	tpc, err := sim.ByName("tpc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := sim.DefaultConfig(100_000)
+	rec := sim.Record(w, cfg.Seed, cfg.Insts)
+	n := testing.AllocsPerRun(10, func() { sim.RunSingleOn(rec.Instance(), w, tpc.Factory, cfg) })
+	if n > maxRunAllocs {
+		t.Fatalf("a 100k-instruction run allocates %.0f times, budget %d", n, maxRunAllocs)
+	}
+	t.Logf("%.0f allocations per run (budget %d)", n, maxRunAllocs)
+}

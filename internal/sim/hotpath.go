@@ -7,12 +7,11 @@ import (
 )
 
 // HotPath drives the per-access machinery of one single-core run directly —
-// no core timing model, no instruction stream — so benchmarks
-// (BenchmarkAccessPath) and allocation-regression tests can measure the
-// demand/prefetch path in isolation. It wires up exactly the pieces
-// RunSingle would: a fresh workload instance, a private hierarchy over its
-// own shared system, and the prefetcher under test with assigned component
-// ids.
+// no core timing model, no instruction stream — so allocation-regression
+// tests can measure the demand/prefetch path in isolation. It wires up
+// exactly the pieces RunSingle would: a fresh workload instance, a private
+// hierarchy over its own shared system, and the prefetcher under test with
+// assigned component ids.
 type HotPath struct {
 	r   *runner
 	at  uint64
