@@ -7,7 +7,9 @@
 // and the memo cache. This analyzer enforces the invariant statically.
 //
 // Entry points are the simulation drivers — divlab/internal/sim.RunSingle,
-// RunMulti and RunTrace — plus every concrete hook the simulator invokes
+// RunMulti and RunTrace with their *On variants, and the RunSingleOn and
+// RunMultiOn methods of sim.Machine, which the engine's workers call —
+// plus every concrete hook the simulator invokes
 // through the component interfaces: methods named OnAccess on types
 // implementing prefetch.Component and OnInst on types implementing
 // prefetch.InstObserver. (The paper's framing mentions an OnFill hook; this
@@ -74,6 +76,10 @@ const (
 // byte-identity, it would poison store records served to future processes.
 var simEntryFuncs = []string{"RunSingle", "RunSingleOn", "RunMulti", "RunMultiOn", "RunTrace"}
 
+// simEntryMethods are the drivers on sim.Machine: the engine simulates
+// through them directly, not through the package-level functions.
+var simEntryMethods = []string{"RunSingleOn", "RunMultiOn"}
+
 // hookMethods maps a hook method name to the prefetch interface whose
 // implementers the simulator calls it through.
 var hookMethods = map[string]string{
@@ -124,15 +130,25 @@ func chain(fset *token.FileSet, rf *reachFact, node *callgraph.Node) string {
 }
 
 // entries collects the simulation entry nodes, in deterministic order: the
-// sim.Run* drivers, then hook-method implementations in graph order.
+// sim.Run* drivers, the sim.Machine drivers, then hook-method
+// implementations in graph order.
 func entries(prog *analysis.Program, g *callgraph.Graph) []*callgraph.Node {
 	var out []*callgraph.Node
+	add := func(obj types.Object) {
+		if fn, ok := obj.(*types.Func); ok {
+			if n := g.NodeOf(fn); n != nil {
+				out = append(out, n)
+			}
+		}
+	}
 	if simPkg := prog.TypesPackage(simPath); simPkg != nil {
 		for _, name := range simEntryFuncs {
-			if fn, ok := simPkg.Scope().Lookup(name).(*types.Func); ok {
-				if n := g.NodeOf(fn); n != nil {
-					out = append(out, n)
-				}
+			add(simPkg.Scope().Lookup(name))
+		}
+		if tn, ok := simPkg.Scope().Lookup("Machine").(*types.TypeName); ok {
+			for _, name := range simEntryMethods {
+				obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, simPkg, name)
+				add(obj)
 			}
 		}
 	}

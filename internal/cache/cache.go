@@ -1,8 +1,9 @@
 // Package cache implements the set-associative caches of the simulated
 // hierarchy: LRU replacement, MSHRs with secondary-miss merging, per-line
 // prefetch tags (owner identity and readiness timestamps for timeliness
-// modelling), and shadow "alternate reality" tag arrays used to account for
-// prefetch-induced pollution as described in Sec. V-C of the paper.
+// modelling), and shadow "alternate reality" tag arrays: the demand-only
+// view Sec. V-C of the paper attributes pollution with, used here as the
+// reference model the hierarchy's tests compare against.
 package cache
 
 import "fmt"
@@ -316,31 +317,15 @@ func (c *Cache) MarkDirty(lineAddr Line) {
 	}
 }
 
-// Invalidate removes lineAddr if resident and returns whether it was dirty.
-func (c *Cache) Invalidate(lineAddr Line) (present, dirty bool) {
-	if i := c.find(lineAddr); i >= 0 {
-		dirty = c.meta[i]&flagDirty != 0
-		c.clearWay(i)
-		return true, dirty
-	}
-	return false, false
-}
-
-// clearWay resets one way-store slot to its empty state.
-func (c *Cache) clearWay(i int) {
-	c.tags[i] = invalidTag
-	c.meta[i] = 0
-	c.readyAt[i] = 0
-}
-
-// Reset clears all lines, MSHRs and statistics.
+// Reset returns the cache to the state New builds: no lines, an empty MSHR
+// file and zero statistics.
 func (c *Cache) Reset() {
 	for i := range c.tags {
-		c.clearWay(i)
+		c.tags[i] = invalidTag
 	}
-	for i := range c.mru {
-		c.mru[i] = 0
-	}
+	clear(c.meta)
+	clear(c.readyAt)
+	clear(c.mru)
 	for i := range c.absent {
 		c.absent[i] = invalidTag
 	}

@@ -1,6 +1,8 @@
 package cache
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -114,23 +116,6 @@ func TestRefillKeepsEarlierReadiness(t *testing.T) {
 	}
 }
 
-func TestInvalidate(t *testing.T) {
-	c := New(testConfig())
-	c.Fill(0x80, 0, false, NoOwner)
-	c.MarkDirty(0x80)
-	present, dirty := c.Invalidate(0x80)
-	if !present || !dirty {
-		t.Errorf("Invalidate = %v,%v", present, dirty)
-	}
-	if c.Contains(0x80) {
-		t.Error("line still present after invalidate")
-	}
-	present, _ = c.Invalidate(0x80)
-	if present {
-		t.Error("double invalidate must report absent")
-	}
-}
-
 func TestTouchRefreshesLRU(t *testing.T) {
 	cfg := Config{Name: "tiny", SizeBytes: 2 * 64, Ways: 2, LatCycles: 1, MSHRs: 2}
 	c := New(cfg)
@@ -143,13 +128,49 @@ func TestTouchRefreshesLRU(t *testing.T) {
 	}
 }
 
+// TestReset: after seeded random operations on a cache and its MSHR file,
+// Reset leaves a value deeply equal to a fresh cache, so a reused cache
+// behaves exactly as a new one. The lines crowd a few sets and collide in
+// mshrHash, and the operations must dirty the MSHR's scan-miss counter and
+// sweep timestamp, or the comparison could not see them.
 func TestReset(t *testing.T) {
-	c := New(testConfig())
-	c.Fill(0x40, 0, false, NoOwner)
-	c.Lookup(0x40, 0)
+	rng := rand.New(rand.NewSource(1))
+	cfg := testConfig()
+	c := New(cfg)
+	pool := make([]Line, 64)
+	for i := range pool {
+		pool[i] = LineAt(uint64(rng.Intn(512)))
+	}
+	at := uint64(1)
+	for op := 0; op < 20000 || c.mshr.scanMiss == 0; op++ {
+		if op == 100000 {
+			t.Fatalf("operations left scanMiss=%d lastFreeAt=%d", c.mshr.scanMiss, c.mshr.lastFreeAt)
+		}
+		at += uint64(rng.Intn(4))
+		l := pool[rng.Intn(len(pool))]
+		switch rng.Intn(6) {
+		case 0:
+			c.Lookup(l, at)
+		case 1:
+			c.Fill(l, at+uint64(rng.Intn(200)), rng.Intn(2) == 0, rng.Intn(4)-1)
+		case 2:
+			c.Touch(l)
+		case 3:
+			c.MarkDirty(l)
+		case 4:
+			if _, pending, adm := c.MSHR().PendingOrNextFree(l, at, at+uint64(rng.Intn(50))); !pending {
+				c.MSHR().Allocate(l, adm, adm+1+uint64(rng.Intn(200)), false)
+			}
+		case 5:
+			c.MSHR().Pending(l, at)
+		}
+	}
+	if c.mshr.lastFreeAt == 0 {
+		t.Fatal("operations left lastFreeAt zero")
+	}
 	c.Reset()
-	if c.Contains(0x40) || c.Stats.Hits != 0 {
-		t.Error("Reset must clear lines and stats")
+	if fresh := New(cfg); !reflect.DeepEqual(c, fresh) {
+		t.Errorf("Reset cache differs from a fresh one:\n got %+v\nwant %+v", c.mshr, fresh.mshr)
 	}
 }
 

@@ -126,9 +126,17 @@ func (m *MSHR) refilter() {
 
 // NewMSHR returns an MSHR file with n registers.
 func NewMSHR(n int) *MSHR {
-	return &MSHR{
-		lines:    make([]Line, n),
-		ready:    make([]uint64, n),
+	m := emptyMSHR(make([]Line, n), make([]uint64, n))
+	return &m
+}
+
+// emptyMSHR returns the empty register file over zeroed lines and ready
+// words; every field it does not name starts at zero.
+func emptyMSHR(lines []Line, ready []uint64) MSHR {
+	n := len(ready)
+	return MSHR{
+		lines:    lines,
+		ready:    ready,
 		minReady: ^uint64(0),
 		lastFree: -1,
 		hintOK:   n <= 255,
@@ -632,18 +640,10 @@ func (m *MSHR) Occupancy(at uint64) int {
 // Size returns the number of registers.
 func (m *MSHR) Size() int { return len(m.ready) }
 
-// Reset clears all registers and counters.
+// Reset returns the file to the state NewMSHR builds: every register free,
+// every filter, hint and memo empty, and zero counters.
 func (m *MSHR) Reset() {
-	for i := range m.ready {
-		m.lines[i] = 0
-		m.ready[i] = 0
-	}
-	m.live = 0
-	m.minReady = ^uint64(0)
-	m.sig = [16]uint64{}
-	m.hint = [1024]uint8{}
-	m.missLine = [1024]Line{}
-	m.occ = 0
-	m.lastFree = -1
-	m.FullStalls = 0
+	clear(m.lines)
+	clear(m.ready)
+	*m = emptyMSHR(m.lines, m.ready)
 }

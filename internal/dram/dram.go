@@ -55,13 +55,19 @@ func DDR3Default() Config {
 type DropPolicy uint8
 
 const (
-	// DropNone never drops; demand and prefetch requests wait for space.
+	// DropNone is the zero value (sim.Config's default) and, despite its
+	// name, sheds prefetches exactly as DropRandomPrefetch does: Access
+	// treats the two alike, and every pinned result depends on that.
+	// Demands are never shed under any policy.
 	DropNone DropPolicy = iota
-	// DropRandomPrefetch evicts a pseudo-randomly chosen queued prefetch
-	// (the paper's default controller behaviour).
+	// DropRandomPrefetch sheds a prefetch when the channel backlog reaches
+	// a threshold jittered by the seeded random stream, so which prefetch
+	// is shed under sustained pressure is effectively random (the paper's
+	// default controller behaviour).
 	DropRandomPrefetch
-	// DropLowPriorityPrefetch evicts the queued prefetch with the lowest
-	// priority (C1's region prefetches in the composite design).
+	// DropLowPriorityPrefetch sheds low-priority prefetches (priority <= 1:
+	// C1's region prefetches in the composite design) once the backlog
+	// reaches half the queue depth, and the rest at the full depth.
 	DropLowPriorityPrefetch
 )
 
@@ -137,7 +143,7 @@ type Controller struct {
 }
 
 // NewController builds a controller with the given configuration and drop
-// policy. Seed makes the random-drop policy deterministic.
+// policy. Seed starts the random stream prefetch shedding draws from.
 func NewController(cfg Config, policy DropPolicy, seed uint64) *Controller {
 	if cfg.Channels <= 0 || cfg.BanksPerRank <= 0 || cfg.RanksPerChan <= 0 {
 		panic("dram: channels, ranks and banks must be positive")
@@ -159,9 +165,6 @@ func NewController(cfg Config, policy DropPolicy, seed uint64) *Controller {
 	}
 	return c
 }
-
-// SetPolicy changes the drop policy (used by the drop-policy experiment).
-func (c *Controller) SetPolicy(p DropPolicy) { c.policy = p }
 
 func (c *Controller) rand() uint64 {
 	// xorshift64 — deterministic, no global state.
@@ -291,15 +294,18 @@ func (c *Controller) Access(r Request, at uint64) (latency uint64, dropped bool)
 	return c.cfg.FrontLatency + (dataEnd - at), false
 }
 
-// Reset clears all bank, bus and statistics state.
-func (c *Controller) Reset() {
+// Reset returns the controller to the state NewController builds with the
+// given drop policy and seed: closed rows, idle buses and zero statistics.
+// The random-drop stream restarts from seed, because every prefetch draws
+// from it (see DropNone).
+func (c *Controller) Reset(policy DropPolicy, seed uint64) {
 	for i := range c.chans {
-		for j := range c.chans[i].banks {
-			c.chans[i].banks[j] = bank{}
-		}
+		clear(c.chans[i].banks)
 		c.chans[i].busDemand = 0
 		c.chans[i].busAll = 0
 	}
+	c.policy = policy
+	c.rng = seed | 1
 	c.now = 0
 	c.Stats = Stats{}
 }

@@ -1,6 +1,8 @@
 package dram
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"divlab/internal/cache"
@@ -118,19 +120,32 @@ func TestChannelRouting(t *testing.T) {
 	}
 }
 
+// TestReset: after seeded random traffic under every policy, Reset leaves
+// a controller deeply equal to a fresh one built with the new policy and
+// seed, random stream included, so a reused controller sheds exactly the
+// prefetches a new one would.
 func TestReset(t *testing.T) {
-	c := NewController(DDR3Default(), DropNone, 1)
-	c.Access(Request{LineAddr: 0}, 0)
-	c.Reset()
-	if c.Stats.Lines() != 0 {
-		t.Error("Reset must clear stats")
-	}
-	lat, _ := c.Access(Request{LineAddr: 0}, 0)
-	lat2, _ := c.Access(Request{LineAddr: 0}, 0)
-	_ = lat
-	_ = lat2
-	if c.Stats.RowMisses != 1 {
-		t.Error("bank state must be cleared by Reset")
+	rng := rand.New(rand.NewSource(1))
+	for _, policy := range []DropPolicy{DropNone, DropRandomPrefetch, DropLowPriorityPrefetch} {
+		c := NewController(DDR3Default(), policy, 1)
+		at := uint64(0)
+		for i := 0; i < 5000; i++ {
+			at += uint64(rng.Intn(8))
+			c.Access(Request{
+				LineAddr: cache.LineAt(uint64(rng.Intn(1 << 16))),
+				Write:    rng.Intn(8) == 0,
+				Prefetch: rng.Intn(2) == 0,
+				Priority: rng.Intn(3),
+			}, at)
+		}
+		if c.Stats.DroppedPrefetches == 0 {
+			t.Fatalf("policy %d: the traffic never shed a prefetch", policy)
+		}
+		next := DropPolicy(rng.Intn(3))
+		c.Reset(next, 7)
+		if fresh := NewController(DDR3Default(), next, 7); !reflect.DeepEqual(c, fresh) {
+			t.Errorf("policy %d: Reset(%d, 7) = %+v, fresh controller %+v", policy, next, c, fresh)
+		}
 	}
 }
 

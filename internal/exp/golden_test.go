@@ -22,7 +22,10 @@ import (
 //
 //	exp.RunAll(exp.TextSink(f), exp.QuickOptions())
 //
-// and say so in the commit message; an unexplained diff here is a bug.
+// and say so in the commit message; an unexplained diff here is a bug. A
+// regenerated golden means stored results are stale: bump
+// runner.DigestVersion and sweep.DigestVersion and re-pin the file's hash
+// (runner's TestDigestVersionsPinBehaviour fails until then).
 func TestRunAllMatchesSeedGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick suite still simulates millions of instructions")

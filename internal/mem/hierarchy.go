@@ -1,8 +1,9 @@
 // Package mem assembles the cache hierarchy of Table I — private L1D and L2,
 // a shared L3, and the DRAM controller — and provides the two operations the
 // rest of the simulator needs: timed demand accesses and timed prefetch
-// insertion at a chosen destination level. It also keeps the running AMAT
-// estimate T2 uses to set its prefetch distance.
+// insertion at a chosen destination level. It also keeps the running
+// fetch-latency estimate (Event.MemLat) T2 uses to set its prefetch
+// distance.
 package mem
 
 import (
@@ -46,7 +47,7 @@ type Config struct {
 
 // DefaultConfig returns the Table I hierarchy for `cores` cores: 64 KB 4-way
 // L1D (3-cycle), 256 KB 8-way L2 (9-cycle), 2 MB/core 16-way shared L3
-// (36-cycle), all with 32 MSHRs and 64 B lines.
+// (36-cycle), 64 B lines, and 32 MSHRs at L1D and L2 and 64 at the L3.
 func DefaultConfig(cores int) Config {
 	return Config{
 		L1D: cache.Config{Name: "L1D", SizeBytes: 64 << 10, Ways: 4, LatCycles: 3, MSHRs: 32},
@@ -70,10 +71,11 @@ func NewSystem(cfg Config, policy dram.DropPolicy, seed uint64) *System {
 	}
 }
 
-// Reset clears shared state.
-func (s *System) Reset() {
+// Reset returns the shared levels to the state NewSystem builds with the
+// given drop policy and seed.
+func (s *System) Reset(policy dram.DropPolicy, seed uint64) {
 	s.L3.Reset()
-	s.Mem.Reset()
+	s.Mem.Reset(policy, seed)
 }
 
 // Event describes one demand access as observed at the L1D, the training
@@ -130,9 +132,6 @@ type Hierarchy struct {
 	// eviction). The hot path pays one nil check per event when disabled.
 	Trace *obs.Lifecycle
 
-	// amat is an exponentially weighted average of demand-load latency,
-	// in 1/64ths of a cycle for fixed-point stability.
-	amat uint64
 	// memLat is an EWMA (1/64ths) of the fetch latency below L1, updated by
 	// demand misses and prefetch fetches alike.
 	memLat uint64
@@ -147,14 +146,17 @@ type Hierarchy struct {
 	l1lat, l2lat, l3lat uint64
 }
 
+// initialMemLat is memLat before the first fetch: optimistic-high, 200
+// cycles in 1/64ths.
+const initialMemLat = 200 << 6
+
 // NewHierarchy builds one core's private caches over the shared system.
 func NewHierarchy(cfg Config, sys *System) *Hierarchy {
 	return &Hierarchy{
 		L1D:    cache.New(cfg.L1D),
 		L2:     cache.New(cfg.L2),
 		sys:    sys,
-		amat:   uint64(cfg.L1D.LatCycles) << 6,
-		memLat: 200 << 6, // optimistic-high until the first real fetch
+		memLat: initialMemLat,
 		l1lat:  cfg.L1D.LatCycles,
 		l2lat:  cfg.L2.LatCycles,
 		l3lat:  sys.L3.Config().LatCycles,
@@ -164,9 +166,6 @@ func NewHierarchy(cfg Config, sys *System) *Hierarchy {
 // System returns the shared L3/DRAM this hierarchy is attached to.
 func (h *Hierarchy) System() *System { return h.sys }
 
-// AMAT returns the running average memory access time in cycles.
-func (h *Hierarchy) AMAT() uint64 { return h.amat >> 6 }
-
 // MemLat returns the running fetch-latency estimate in cycles.
 func (h *Hierarchy) MemLat() uint64 { return h.memLat >> 6 }
 
@@ -175,19 +174,15 @@ func (h *Hierarchy) updateMemLat(lat uint64) {
 	h.memLat -= h.memLat / 32
 }
 
-func (h *Hierarchy) updateAMAT(lat uint64) {
-	// amat += (lat - amat) / 32, in fixed point.
-	h.amat += (lat << 6) / 32
-	h.amat -= h.amat / 32
-}
-
-// Reset clears private-cache state and stats (not the shared system).
+// Reset returns the private caches, counters, clock and latency estimate to
+// the state NewHierarchy builds, and detaches Trace. The shared system is
+// not reset (System.Reset).
 func (h *Hierarchy) Reset() {
 	h.L1D.Reset()
 	h.L2.Reset()
 	h.Stats = Stats{}
-	h.amat = uint64(h.L1D.Config().LatCycles) << 6
-	h.memLat = 200 << 6
+	h.Trace = nil
+	h.memLat = initialMemLat
 	h.now = 0
 }
 
@@ -286,7 +281,6 @@ func (h *Hierarchy) AccessInto(pc, addr uint64, at uint64, store bool, ev *Event
 		if store {
 			h.L1D.MarkDirty(lineAddr)
 		}
-		h.updateAMAT(ev.Latency)
 		return ev.Latency
 	}
 
@@ -296,7 +290,6 @@ func (h *Hierarchy) AccessInto(pc, addr uint64, at uint64, store bool, ev *Event
 	if pending {
 		ev.Secondary = true
 		ev.Latency = (pendAt - at) + l1lat
-		h.updateAMAT(ev.Latency)
 		// The line will be filled by the primary miss; just account.
 		return ev.Latency
 	}
@@ -319,7 +312,6 @@ func (h *Hierarchy) AccessInto(pc, addr uint64, at uint64, store bool, ev *Event
 		h.L1D.MarkDirty(lineAddr)
 	}
 	ev.Latency = lat
-	h.updateAMAT(lat)
 	return lat
 }
 
@@ -416,9 +408,6 @@ const (
 // isDrop reports whether a latency value is a drop sentinel.
 func isDrop(lat uint64) bool { return lat >= dropDRAMSentinel }
 
-// Prefetch attempts to bring lineAddr into dest at cycle `at` on behalf of
-// component `owner`. It returns whether a fetch was actually generated
-// (redundant and dropped prefetches return false).
 // nowOrLater views a timestamp through the monotone clock for occupancy
 // decisions (a stale dispatch-time stamp would read phantom MSHR busyness);
 // fetch *timing* keeps the caller's own timestamp so prefetch completions
@@ -449,6 +438,9 @@ func (h *Hierarchy) traceDrop(lat uint64, owner int, dest Level, lineAddr Line, 
 	h.Trace.Record(f, owner, int(dest), lineAddr, at)
 }
 
+// Prefetch attempts to bring lineAddr into dest at cycle `at` on behalf of
+// component `owner`. It returns whether a fetch was actually generated
+// (redundant and dropped prefetches return false).
 func (h *Hierarchy) Prefetch(lineAddr Line, dest Level, owner, priority int, at uint64) bool {
 	h.traceFate(obs.FateAttempted, owner, dest, lineAddr, at)
 	// Redundancy filter: already resident at (or above) the destination,
@@ -590,7 +582,6 @@ func (h *Hierarchy) prefetchL2(lineAddr Line, at uint64, owner, priority int) ui
 	return readyAt - at
 }
 
-// lineAddrOf avoids an import cycle with internal/trace for this one
 // Line is the hierarchy-wide cache-line address unit; see cache.Line. The
 // alias lets callers that already import mem write mem.Line/mem.ToLine
 // without also importing internal/cache.

@@ -1,10 +1,13 @@
 package mem
 
 import (
+	"math/rand"
+	"reflect"
 	"testing"
 
 	"divlab/internal/cache"
 	"divlab/internal/dram"
+	"divlab/internal/obs"
 )
 
 func newH() *Hierarchy {
@@ -164,12 +167,56 @@ func TestEventCarriesMemLat(t *testing.T) {
 	}
 }
 
+// randomTraffic drives h with seeded demand accesses, stores and prefetches
+// to every level, crowding a few sets so lines evict and write back.
+func randomTraffic(rng *rand.Rand, h *Hierarchy, n int) {
+	at := uint64(0)
+	for i := 0; i < n; i++ {
+		at += uint64(rng.Intn(6))
+		addr := uint64(rng.Intn(1<<14)) * cache.LineBytes * 64
+		if rng.Intn(3) == 0 {
+			h.Prefetch(ToLine(addr), Level(rng.Intn(3)), 1+rng.Intn(3), rng.Intn(3), at-uint64(rng.Intn(int(min(at, 30))+1)))
+			continue
+		}
+		h.Access(0x400+uint64(rng.Intn(8)), addr, at, rng.Intn(4) == 0)
+	}
+}
+
+// TestHierarchyReset: after seeded random traffic with a lifecycle tracker
+// attached, Reset leaves a hierarchy deeply equal to a fresh one over the
+// same system, tracker detached: a reused hierarchy must neither behave
+// differently nor record into the previous run's tracker.
 func TestHierarchyReset(t *testing.T) {
-	h := newH()
-	h.Access(0x400, 0x1000, 0, false)
+	cfg := DefaultConfig(1)
+	sys := NewSystem(cfg, dram.DropNone, 1)
+	h := NewHierarchy(cfg, sys)
+	h.Trace = obs.NewLifecycle(3)
+	randomTraffic(rand.New(rand.NewSource(1)), h, 20000)
+	if h.Stats.Writebacks == 0 || h.Stats.PrefetchesIssued == 0 {
+		t.Fatalf("traffic wrote nothing back or issued no prefetch: %+v", h.Stats)
+	}
 	h.Reset()
-	if h.Stats.DemandAccesses != 0 || h.L1D.Contains(0x1000) {
-		t.Error("Reset must clear private state")
+	if fresh := NewHierarchy(cfg, sys); !reflect.DeepEqual(h, fresh) {
+		t.Errorf("Reset hierarchy differs from a fresh one: stats %+v trace %v", h.Stats, h.Trace != nil)
+	}
+}
+
+// TestSystemReset: after seeded random traffic through two cores, Reset
+// leaves the shared L3 and DRAM deeply equal to a fresh system built with
+// the new drop policy and seed.
+func TestSystemReset(t *testing.T) {
+	cfg := DefaultConfig(2)
+	sys := NewSystem(cfg, dram.DropRandomPrefetch, 1)
+	rng := rand.New(rand.NewSource(2))
+	for i := 0; i < 2; i++ {
+		randomTraffic(rng, NewHierarchy(cfg, sys), 20000)
+	}
+	if sys.Mem.Stats.DroppedPrefetches == 0 && sys.Mem.Stats.PrefetchReads == 0 {
+		t.Fatalf("traffic sent no prefetch to DRAM: %+v", sys.Mem.Stats)
+	}
+	sys.Reset(dram.DropLowPriorityPrefetch, 9)
+	if fresh := NewSystem(cfg, dram.DropLowPriorityPrefetch, 9); !reflect.DeepEqual(sys, fresh) {
+		t.Errorf("Reset system differs from a fresh one: L3 %+v DRAM %+v", sys.L3.Stats, sys.Mem.Stats)
 	}
 }
 

@@ -6,11 +6,12 @@
 // experiments ask for it; an optional persistent tier (SetStore) extends
 // that guarantee across processes, answering repeat points from disk by
 // their Key.Digest content address. Every simulation is a pure function of
-// its key — workload instances, the memory system and all per-run state are
-// constructed fresh inside sim — so results are shared by pointer and must
-// be treated as read-only by consumers (the metrics layer already is); that
-// same purity is what makes a persisted result byte-equivalent to a fresh
-// simulation.
+// its key — workload instances and per-run state are built fresh inside sim,
+// and each worker runs its jobs on its own sim.Machine, whose memory system
+// is reset to its freshly built state before every run — so results are
+// shared by pointer and must be treated as read-only by consumers (the
+// metrics layer already is); that same purity is what makes a persisted
+// result byte-equivalent to a fresh simulation.
 //
 // Determinism: batch results are returned in job order regardless of
 // completion order, and each run's randomness is derived from its seed, so a
@@ -112,6 +113,14 @@ type Engine struct {
 
 	// progress, when set, is notified after every job (CLI reporting).
 	progress atomic.Pointer[obs.Progress]
+
+	// machines is the free list of idle simulation machines. Each worker
+	// takes one for the length of a batch and puts it back after, so a
+	// Machine's memory systems are built once and reused across the jobs
+	// it simulates, and die with the engine. New builds none: a Machine
+	// builds its systems on first use.
+	machMu   sync.Mutex
+	machines []*sim.Machine
 }
 
 // Option configures an Engine.
@@ -354,11 +363,11 @@ func (e *Engine) claim(k Key) (ent *entry, owner bool) {
 // runJob executes one job through the cache tiers — memo, then store, then
 // simulation — and returns its Job.Results() results. The slice and its
 // results are shared — read-only.
-func (e *Engine) runJob(j Job) []*sim.Result {
+func (e *Engine) runJob(m *sim.Machine, j Job) []*sim.Result {
 	k, cacheable := KeyOf(j)
 	if !cacheable {
 		e.skips.Add(1)
-		rs := e.simulate(j)
+		rs := e.simulate(m, j)
 		e.jobDone(false)
 		return rs
 	}
@@ -379,28 +388,29 @@ func (e *Engine) runJob(j Job) []*sim.Result {
 	func() {
 		// done must close even if the simulation panics, or waiters hang.
 		defer close(ent.done)
-		ent.rs = e.simulate(j)
+		ent.rs = e.simulate(m, j)
 	}()
 	e.storePut(k, ent.rs)
 	e.jobDone(false)
 	return ent.rs
 }
 
-// simulate runs j over replays of its pre-recorded streams (live instances
-// where recording is over budget; RunSingleOn/RunMultiOn build those).
-func (e *Engine) simulate(j Job) []*sim.Result {
+// simulate runs j on m over replays of its pre-recorded streams (live
+// instances where recording is over budget; RunSingleOn/RunMultiOn build
+// those).
+func (e *Engine) simulate(m *sim.Machine, j Job) []*sim.Result {
 	f := j.Prefetcher.Factory
 	if !j.isMix() {
 		cfg := normalize(j.Config, false)
 		inst := e.instanceFor(j.Workload, cfg.Seed, cfg.Insts)
-		return []*sim.Result{sim.RunSingleOn(inst, j.Workload, f, cfg)}
+		return []*sim.Result{m.RunSingleOn(inst, j.Workload, f, cfg)}
 	}
 	cfg := normalize(j.Config, true)
 	insts := make([]workloads.Instance, len(j.Mix.Apps))
 	for i, app := range j.Mix.Apps {
 		insts[i] = e.instanceFor(app, sim.MixSeed(cfg, i), cfg.Insts)
 	}
-	return sim.RunMultiOn(insts, j.Mix, f, cfg)
+	return m.RunMultiOn(insts, j.Mix, f, cfg)
 }
 
 // Run executes the jobs on the worker pool and returns results flattened in
@@ -418,26 +428,29 @@ func (e *Engine) Run(ctx context.Context, jobs []Job) []*sim.Result {
 		offs[i+1] = offs[i] + j.Results()
 	}
 	out := make([]*sim.Result, offs[len(jobs)])
-	e.forEach(len(jobs), func(i int) {
+	e.forEach(len(jobs), func(m *sim.Machine, i int) {
 		if ctx != nil && ctx.Err() != nil {
 			return
 		}
-		copy(out[offs[i]:offs[i+1]], e.runJob(jobs[i]))
+		copy(out[offs[i]:offs[i+1]], e.runJob(m, jobs[i]))
 	})
 	return out
 }
 
-// forEach applies f to 0..n-1 on the worker pool. A worker that blocks on a
-// cache entry owned by another worker makes progress as soon as the owner
-// finishes; owners never wait, so the pool cannot deadlock.
-func (e *Engine) forEach(n int, f func(int)) {
+// forEach applies f to 0..n-1 on the worker pool, each worker passing f its
+// own Machine. A worker that blocks on a cache entry owned by another worker
+// makes progress as soon as the owner finishes; owners never wait, so the
+// pool cannot deadlock.
+func (e *Engine) forEach(n int, f func(*sim.Machine, int)) {
 	w := e.Workers()
 	if w > n {
 		w = n
 	}
 	if w <= 1 {
+		m := e.takeMachine()
+		defer e.putMachine(m)
 		for i := 0; i < n; i++ {
-			f(i)
+			f(m, i)
 		}
 		return
 	}
@@ -447,14 +460,36 @@ func (e *Engine) forEach(n int, f func(int)) {
 	for g := 0; g < w; g++ {
 		go func() {
 			defer wg.Done()
+			m := e.takeMachine()
+			defer e.putMachine(m)
 			for {
 				i := int(next.Add(1)) - 1
 				if i >= n {
 					return
 				}
-				f(i)
+				f(m, i)
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// takeMachine pops an idle Machine off the free list, or returns a new one.
+func (e *Engine) takeMachine() *sim.Machine {
+	e.machMu.Lock()
+	defer e.machMu.Unlock()
+	n := len(e.machines)
+	if n == 0 {
+		return new(sim.Machine)
+	}
+	m := e.machines[n-1]
+	e.machines = e.machines[:n-1]
+	return m
+}
+
+// putMachine returns a worker's Machine to the free list.
+func (e *Engine) putMachine(m *sim.Machine) {
+	e.machMu.Lock()
+	defer e.machMu.Unlock()
+	e.machines = append(e.machines, m)
 }

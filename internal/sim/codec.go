@@ -427,7 +427,7 @@ func (d *decoder) lines(key string, dst *Footprint) {
 			d.fail("duplicate key in %s", key)
 			return
 		}
-		f = columns(m)
+		f = columns(m, new([]linePair))
 	}
 	*dst = f
 }

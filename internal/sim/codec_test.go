@@ -143,6 +143,7 @@ func referenceDecode(data []byte) ([]*Result, error) {
 		return nil, nil
 	}
 	rs := make([]*Result, len(ws))
+	var buf []linePair
 	for i, w := range ws {
 		if w == nil {
 			continue
@@ -163,10 +164,10 @@ func referenceDecode(data []byte) ([]*Result, error) {
 			perOwnerCat: w.PerOwnerCat,
 			CatL1Misses: w.CatL1Misses,
 			CatL2Misses: w.CatL2Misses,
-			MissL1Lines: columns(w.MissL1Lines),
-			MissL2Lines: columns(w.MissL2Lines),
-			Attempted:   columns(w.Attempted),
-			IssuedLines: columns(w.IssuedLines),
+			MissL1Lines: columns(w.MissL1Lines, &buf),
+			MissL2Lines: columns(w.MissL2Lines, &buf),
+			Attempted:   columns(w.Attempted, &buf),
+			IssuedLines: columns(w.IssuedLines, &buf),
 			Names:       w.Names,
 			L1Stats:     w.L1Stats,
 			L2Stats:     w.L2Stats,

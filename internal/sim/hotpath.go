@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"divlab/internal/mem"
 	"divlab/internal/trace"
 	"divlab/internal/workloads"
 )
@@ -20,10 +19,10 @@ type HotPath struct {
 }
 
 // NewHotPath builds the hot-path harness for one workload and prefetcher
-// factory (nil for the no-prefetch baseline).
+// factory (nil for the no-prefetch baseline) on a fresh Machine.
 func NewHotPath(w workloads.Workload, factory Factory, cfg Config) *HotPath {
-	sys := mem.NewSystem(mem.DefaultConfig(1), cfg.DropPolicy, cfg.Seed)
-	return &HotPath{r: wire(cfg, 1, sys, w.New(cfg.Seed), factory)}
+	ms := new(Machine).system(1, cfg)
+	return &HotPath{r: wire(cfg, ms.hiers[0], ms.footprints(0, cfg), w.New(cfg.Seed), factory)}
 }
 
 // Access performs one demand access at the internal clock, advances the

@@ -212,11 +212,8 @@ type runner struct {
 	catOK   bool
 }
 
-func newRunner(cfg Config, inst workloads.Instance, hier *mem.Hierarchy, pf prefetch.Component, res *Result) *runner {
-	r := &runner{cfg: cfg, inst: inst, hier: hier, pf: pf, res: res}
-	if cfg.CollectFootprint {
-		r.fp = newFootprints()
-	}
+func newRunner(cfg Config, inst workloads.Instance, hier *mem.Hierarchy, fp *footprints, pf prefetch.Component, res *Result) *runner {
+	r := &runner{cfg: cfg, inst: inst, hier: hier, pf: pf, res: res, fp: fp}
 	r.sink.Init(r)
 	r.pfInst, _ = pf.(prefetch.InstObserver)
 	r.pfBatch, _ = pf.(prefetch.BatchComponent)
@@ -376,12 +373,11 @@ func closeLifecycle(res *Result) {
 	}
 }
 
-// wire builds one core's half of a system over the shared levels in sys: a
-// private hierarchy, the prefetcher built from factory with component ids
-// from 1, the result (with its lifecycle tracker when traced), and the
-// runner binding them.
-func wire(cfg Config, cores int, sys *mem.System, inst workloads.Instance, factory Factory) *runner {
-	hier := mem.NewHierarchy(mem.DefaultConfig(cores), sys)
+// wire builds one core's half of a run over its hierarchy and footprint
+// accumulator (nil unless cfg collects footprints): the prefetcher built
+// from factory with component ids from 1, the result (with its lifecycle
+// tracker when traced), and the runner binding them.
+func wire(cfg Config, hier *mem.Hierarchy, fp *footprints, inst workloads.Instance, factory Factory) *runner {
 	var comp prefetch.Component
 	names := map[int]string{}
 	if factory != nil {
@@ -390,7 +386,7 @@ func wire(cfg Config, cores int, sys *mem.System, inst workloads.Instance, facto
 	}
 	res := newResult(names)
 	attachLifecycle(cfg, hier, res, names)
-	return newRunner(cfg, inst, hier, comp, res)
+	return newRunner(cfg, inst, hier, fp, comp, res)
 }
 
 // quantum is the instruction count a core runs per scheduling pick. The
@@ -398,14 +394,16 @@ func wire(cfg Config, cores int, sys *mem.System, inst workloads.Instance, facto
 // changing it changes multi-core results.
 const quantum = 64
 
-// run simulates insts[i] on core i, all cores sharing one L3 and DRAM, for
-// cfg.Insts instructions each, and returns the per-core results.
-func run(insts []workloads.Instance, factory Factory, cfg Config) []*Result {
+// run simulates insts[i] on core i of m's memory system for len(insts)
+// cores, all sharing one L3 and DRAM, for cfg.Insts instructions each, and
+// returns the per-core results.
+func (m *Machine) run(insts []workloads.Instance, factory Factory, cfg Config) []*Result {
 	if cfg.CoreParams.Width == 0 {
 		cfg.CoreParams = cpu.DefaultParams()
 	}
 	cores := len(insts)
-	sys := mem.NewSystem(mem.DefaultConfig(cores), cfg.DropPolicy, cfg.Seed)
+	ms := m.system(cores, cfg)
+	sys := ms.sys
 	type coreState struct {
 		r    *runner
 		core *cpu.Core
@@ -414,7 +412,7 @@ func run(insts []workloads.Instance, factory Factory, cfg Config) []*Result {
 	}
 	states := make([]coreState, cores)
 	for i, inst := range insts {
-		r := wire(cfg, cores, sys, inst, factory)
+		r := wire(cfg, ms.hiers[i], ms.footprints(i, cfg), inst, factory)
 		params := cfg.CoreParams
 		if cfg.UseBPred {
 			params.Pred = bpred.New()
@@ -492,14 +490,12 @@ func RunSingle(w workloads.Workload, factory Factory, cfg Config) *Result {
 	return RunSingleOn(nil, w, factory, cfg)
 }
 
-// RunSingleOn is RunSingle over a caller-provided workload instance — the
-// runner's pre-recorded replays enter here. A nil inst builds the workload
-// live, exactly as RunSingle always has.
+// RunSingleOn is RunSingle over a caller-provided workload instance, such
+// as a replay of a Recorded stream. A nil inst builds the workload live,
+// exactly as RunSingle always has. It runs on a fresh Machine; a caller
+// with many runs keeps a Machine and calls its RunSingleOn.
 func RunSingleOn(inst workloads.Instance, w workloads.Workload, factory Factory, cfg Config) *Result {
-	if inst == nil {
-		inst = w.New(cfg.Seed)
-	}
-	return run([]workloads.Instance{inst}, factory, cfg)[0]
+	return new(Machine).RunSingleOn(inst, w, factory, cfg)
 }
 
 // RunMulti executes a 4-app mix on `cores` cores sharing L3 and DRAM; each
@@ -515,20 +511,10 @@ func RunMulti(mix workloads.Mix, factory Factory, cfg Config) []*Result {
 func MixSeed(cfg Config, i int) uint64 { return cfg.Seed + uint64(i)*7919 }
 
 // RunMultiOn is RunMulti over caller-provided per-core instances (nil, or
-// nil slots, build the corresponding apps live at their MixSeed).
+// nil slots, build the corresponding apps live at their MixSeed). It runs
+// on a fresh Machine, as RunSingleOn does.
 func RunMultiOn(insts []workloads.Instance, mix workloads.Mix, factory Factory, cfg Config) []*Result {
-	cores := cfg.Cores
-	if cores <= 0 || cores > 4 {
-		cores = 4
-	}
-	all := make([]workloads.Instance, cores)
-	copy(all, insts)
-	for i := range all {
-		if all[i] == nil {
-			all[i] = mix.Apps[i].New(MixSeed(cfg, i))
-		}
-	}
-	return run(all, factory, cfg)
+	return new(Machine).RunMultiOn(insts, mix, factory, cfg)
 }
 
 // traceInstance adapts a loaded trace file to the workload interface.
@@ -552,5 +538,5 @@ func RunTrace(ft *trace.FileTrace, factory Factory, cfg Config) *Result {
 	if n := uint64(len(ft.Insts)); cfg.Insts == 0 || cfg.Insts > n {
 		cfg.Insts = n
 	}
-	return run([]workloads.Instance{&traceInstance{ft: ft}}, factory, cfg)[0]
+	return new(Machine).run([]workloads.Instance{&traceInstance{ft: ft}}, factory, cfg)[0]
 }

@@ -62,9 +62,9 @@ type Record struct {
 	Key string `json:"key"`
 	// Kind discriminates the payload decoder (KindResults, KindSweepPoint).
 	Kind string `json:"kind"`
-	// Payload is the wrapped artifact, stored verbatim. Decode hands it
-	// back unscanned: the CRC guards its bytes, and the reader of Kind
-	// checks its syntax.
+	// Payload is the wrapped artifact: one JSON value, which Encode writes
+	// verbatim and Decode hands back unscanned. The CRC guards its bytes,
+	// and the reader of Kind checks its syntax.
 	Payload json.RawMessage `json:"payload"`
 }
 
@@ -84,6 +84,9 @@ func (r *Record) Validate() error {
 	}
 	if len(r.Payload) == 0 {
 		return errors.New("store: record has no payload")
+	}
+	if isSpace(r.Payload[0]) || isSpace(r.Payload[len(r.Payload)-1]) {
+		return errors.New("store: record payload has leading or trailing whitespace")
 	}
 	return nil
 }
@@ -150,16 +153,45 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // Encode frames a record for storage: a one-line header carrying the schema,
 // the body length and a CRC32-C over the body, followed by the JSON body.
 // The header guards the body, so any truncation or corruption of either is
-// detected on decode.
+// detected on decode. The body is the Record's fields in declaration order
+// with no whitespace, each string as json.Marshal writes it, and the payload
+// copied as is, never re-scanned: for a compact payload with no HTML
+// characters in its strings, as every caller writes, that is byte for byte
+// json.Marshal(rec).
 func Encode(rec *Record) ([]byte, error) {
 	if err := rec.Validate(); err != nil {
 		return nil, err
 	}
-	body, err := json.Marshal(rec)
-	if err != nil {
-		return nil, fmt.Errorf("store: encode record %s: %w", rec.Digest, err)
+	body := make([]byte, 0, len(rec.Schema)+len(rec.Digest)+len(rec.Key)+len(rec.Kind)+len(rec.Payload)+64)
+	for _, f := range rec.envelope() {
+		s, err := json.Marshal(*f.val)
+		if err != nil {
+			return nil, fmt.Errorf("store: encode record %s: %w", rec.Digest, err)
+		}
+		body = append(append(body, f.key...), s...)
 	}
+	body = append(append(append(body, payloadKey...), rec.Payload...), '}')
 	return frame(body), nil
+}
+
+// payloadKey precedes the payload, the body's last field.
+const payloadKey = `,"payload":`
+
+// envelopeField is one of the body's string fields: the text that precedes
+// its value, and where the Record keeps the value.
+type envelopeField struct {
+	key string
+	val *string
+}
+
+// envelope returns r's string fields in body order.
+func (r *Record) envelope() [4]envelopeField {
+	return [4]envelopeField{
+		{`{"schema":`, &r.Schema},
+		{`,"digest":`, &r.Digest},
+		{`,"key":`, &r.Key},
+		{`,"kind":`, &r.Kind},
+	}
 }
 
 // frame prefixes a record body with its header line.
@@ -222,15 +254,7 @@ func Decode(digest string, data []byte) (*Record, error) {
 func readEnvelope(body []byte) (*Record, error) {
 	var rec Record
 	rest := body
-	for _, f := range []struct {
-		key string
-		dst *string
-	}{
-		{`{"schema":`, &rec.Schema},
-		{`,"digest":`, &rec.Digest},
-		{`,"key":`, &rec.Key},
-		{`,"kind":`, &rec.Kind},
-	} {
+	for _, f := range rec.envelope() {
 		var ok bool
 		if rest, ok = bytes.CutPrefix(rest, []byte(f.key)); !ok {
 			return nil, fmt.Errorf("want %s", f.key)
@@ -239,15 +263,16 @@ func readEnvelope(body []byte) (*Record, error) {
 		if err != nil {
 			return nil, fmt.Errorf("%s value: %w", f.key, err)
 		}
-		*f.dst, rest = s, rest[n:]
+		*f.val, rest = s, rest[n:]
 	}
-	payload, ok := bytes.CutPrefix(rest, []byte(`,"payload":`))
+	payload, ok := bytes.CutPrefix(rest, []byte(payloadKey))
 	if !ok {
-		return nil, errors.New(`want ,"payload":`)
+		return nil, errors.New("want " + payloadKey)
 	}
+	// Validate, which Decode runs next, refuses an empty or padded payload.
 	payload, ok = bytes.CutSuffix(payload, []byte("}"))
-	if !ok || len(payload) == 0 || isSpace(payload[0]) || isSpace(payload[len(payload)-1]) {
-		return nil, errors.New("payload must be non-empty, unpadded and close the envelope")
+	if !ok {
+		return nil, errors.New("payload must close the envelope")
 	}
 	rec.Payload = payload
 	return &rec, nil
