@@ -15,9 +15,11 @@ vet:
 	$(GO) vet ./...
 
 # lint runs go vet, gofmt (any file it would rewrite is a finding) and the
-# project's seven analyzers (determinism, specstring, conservation, sinkerr,
-# and the whole-program isolation, lineaddr and hotalloc checks). No
-# analyzer checks concurrency; race-stress is the backstop for that.
+# project's per-package analyzers (determinism, specstring, sinkerr,
+# lineaddr). Tests, not analyzers, hold run isolation
+# (runner.TestParallelMatchesSerial under race-stress), hot-path
+# allocations (the internal/sim alloc tests), lifecycle conservation and
+# concurrency.
 # The tree must stay at zero findings; suppress a justified exception with
 # //lint:allow <analyzer> -- <reason>; `divlint -audit` reports stale ones.
 lint: vet

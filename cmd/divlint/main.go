@@ -1,8 +1,7 @@
 // Command divlint runs the project's static-analysis suite: the mechanical
-// enforcement of the simulator's determinism, spec-string, conservation,
-// sink-error, run-isolation, line-address and hot-path-allocation
-// contracts — seven analyzers in all (see internal/analysis/... and README
-// "Correctness contracts").
+// enforcement of the simulator's determinism, spec-string, sink-error and
+// line-address contracts — four per-package analyzers (see
+// internal/analysis/... and README "Correctness contracts").
 //
 //	divlint ./...                     lint the whole module
 //	divlint ./internal/sim ./cmd/...  lint specific packages
@@ -25,10 +24,8 @@
 // finding on its covered lines. A stale allow is a hole a future regression
 // walks through silently, so CI fails on them too (exit 1).
 //
-// The isolation, lineaddr and hotalloc analyzers are whole-program: they
-// need the full package set for call-graph reachability, so this pattern
-// driver is their authoritative harness. Under `go vet -vettool` they see
-// one package at a time and only intra-package call edges.
+// Every analyzer looks at one package at a time, so this pattern driver and
+// `go vet -vettool` report the same findings.
 package main
 
 import (
@@ -41,7 +38,7 @@ import (
 	"divlab/internal/analysis/divlint"
 )
 
-const version = "v1.4.0"
+const version = "v1.5.0"
 
 // jsonFinding is the -json wire form of one finding.
 type jsonFinding struct {

@@ -28,17 +28,16 @@ type Analyzer struct {
 	Run  func(*Pass) (interface{}, error)
 }
 
-// Pass is the unit of work handed to an analyzer: one type-checked package,
-// plus the whole-program view (call graph, fact cache) for flow-sensitive
-// analyzers. Program is never nil; single-package drivers wrap the lone
-// package in a one-element Program.
+// Pass is the unit of work handed to an analyzer: one type-checked package.
+// Every analyzer is per-package, so an analyzer sees the same Pass under the
+// pattern driver, the `go vet -vettool` unitchecker and the fixture harness;
+// imported packages are visible only through their export data.
 type Pass struct {
 	Analyzer  *Analyzer
 	Fset      *token.FileSet
 	Files     []*ast.File
 	Pkg       *types.Package
 	TypesInfo *types.Info
-	Program   *Program
 	Report    func(Diagnostic)
 }
 

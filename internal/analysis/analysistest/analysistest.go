@@ -44,7 +44,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgs ...string) {
 		if len(p.TypeErrors) > 0 {
 			t.Fatalf("analysistest: %s: type error: %v", pkg, p.TypeErrors[0])
 		}
-		diags, err := analysis.RunOne(a, p, nil)
+		diags, err := analysis.RunOne(a, p)
 		if err != nil {
 			t.Fatalf("analysistest: %s: %s: %v", pkg, a.Name, err)
 		}

@@ -6,10 +6,7 @@ package divlint
 
 import (
 	"divlab/internal/analysis"
-	"divlab/internal/analysis/conservation"
 	"divlab/internal/analysis/determinism"
-	"divlab/internal/analysis/hotalloc"
-	"divlab/internal/analysis/isolation"
 	"divlab/internal/analysis/lineaddr"
 	"divlab/internal/analysis/sinkerr"
 	"divlab/internal/analysis/specstring"
@@ -37,50 +34,26 @@ var simPackages = map[string]bool{
 	"divlab/internal/stats":       true,
 }
 
-// inSimScope reports whether determinism rules bind the package.
+// inSimScope reports whether the package is on the simulated path, where
+// determinism and lineaddr apply.
 func inSimScope(path string) bool { return simPackages[path] }
-
-// hotPackages are the simulator-core packages on the demand/prefetch access
-// path, which must be allocation-free on every input. The prefetcher
-// implementations (divlab/internal/tpc, divlab/internal/prefetchers) are
-// deliberately out of scope: their map-backed training tables model the
-// paper's hardware storage budget and allocate while warming up, reaching
-// zero only in steady state — a property the dynamic pins (the
-// testing.AllocsPerRun tests in internal/sim) cover and a whole-input static
-// contract cannot.
-var hotPackages = map[string]bool{
-	"divlab/internal/sim":   true,
-	"divlab/internal/mem":   true,
-	"divlab/internal/cache": true,
-	"divlab/internal/cpu":   true,
-	"divlab/internal/dram":  true,
-}
-
-func inHotScope(path string) bool { return hotPackages[path] }
 
 // everywhere applies an analyzer to every package, the analyzer suite
 // included: the contract checks are cheap and self-hosting keeps us honest.
 func everywhere(string) bool { return true }
 
-// Suite returns the scoped analyzer suite in reporting order.
+// Suite returns the scoped analyzer suite in reporting order. Each analyzer
+// guards a fault no test catches every time (README "Correctness
+// contracts"): determinism the map-order faults no test pins or a golden
+// catches only through map order, specstring constant specs in code no test
+// runs, sinkerr output errors no test provokes, and lineaddr raw line
+// arithmetic that computes today's value.
 func Suite() []analysis.Scoped {
 	return []analysis.Scoped{
 		{Analyzer: determinism.Analyzer, Applies: inSimScope},
 		{Analyzer: specstring.Analyzer, Applies: everywhere},
-		{Analyzer: conservation.Analyzer, Applies: everywhere},
 		{Analyzer: sinkerr.Analyzer, Applies: everywhere},
-		// The flow-sensitive pair rides the same sim scope as determinism:
-		// isolation guards the run-purity assumption behind the memoized run
-		// cache, lineaddr the typed cache.Line unit discipline. Both need the
-		// whole-program view, so the pattern driver is their authoritative
-		// harness (the unitchecker sees only intra-package call edges).
-		{Analyzer: isolation.Analyzer, Applies: inSimScope},
 		{Analyzer: lineaddr.Analyzer, Applies: inSimScope},
-		// hotalloc freezes the zero-alloc pins of internal/sim's alloc tests
-		// into a lint-time contract on the hot packages. It walks the same
-		// whole-program call graph, so — like isolation — the pattern
-		// driver is its authoritative harness.
-		{Analyzer: hotalloc.Analyzer, Applies: inHotScope},
 	}
 }
 

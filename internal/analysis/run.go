@@ -31,7 +31,6 @@ func (f Finding) String() string {
 // errors in any package abort the run: analyzers need sound type info.
 func RunAnalyzers(pkgs []*Package, analyzers []Scoped) ([]Finding, error) {
 	var out []Finding
-	prog := NewProgram(pkgs)
 	for _, pkg := range pkgs {
 		if len(pkg.TypeErrors) > 0 {
 			return nil, fmt.Errorf("%s: type checking failed: %v", pkg.ImportPath, pkg.TypeErrors[0])
@@ -40,7 +39,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []Scoped) ([]Finding, error) {
 			if sc.Applies != nil && !sc.Applies(pkg.ImportPath) {
 				continue
 			}
-			diags, err := RunOne(sc.Analyzer, pkg, prog)
+			diags, err := RunOne(sc.Analyzer, pkg)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %s: %v", pkg.ImportPath, sc.Analyzer.Name, err)
 			}
@@ -66,11 +65,9 @@ func RunAnalyzers(pkgs []*Package, analyzers []Scoped) ([]Finding, error) {
 }
 
 // RunOne applies a single analyzer to a single package and returns the
-// surviving (non-suppressed) diagnostics. prog supplies the whole-program
-// view; pass nil to analyze the package in isolation (a one-package Program
-// is synthesized).
-func RunOne(a *Analyzer, pkg *Package, prog *Program) ([]Diagnostic, error) {
-	diags, err := runRaw(a, pkg, prog)
+// surviving (non-suppressed) diagnostics.
+func RunOne(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
+	diags, err := runRaw(a, pkg)
 	if err != nil {
 		return nil, err
 	}
@@ -86,10 +83,7 @@ func RunOne(a *Analyzer, pkg *Package, prog *Program) ([]Diagnostic, error) {
 // runRaw applies one analyzer to one package with no suppression filtering —
 // the allow audit needs the full diagnostic set to decide which directives
 // still earn their keep.
-func runRaw(a *Analyzer, pkg *Package, prog *Program) ([]Diagnostic, error) {
-	if prog == nil {
-		prog = NewProgram([]*Package{pkg})
-	}
+func runRaw(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
 	var diags []Diagnostic
 	pass := &Pass{
 		Analyzer:  a,
@@ -97,7 +91,6 @@ func runRaw(a *Analyzer, pkg *Package, prog *Program) ([]Diagnostic, error) {
 		Files:     pkg.Files,
 		Pkg:       pkg.Pkg,
 		TypesInfo: pkg.TypesInfo,
-		Program:   prog,
 		Report: func(d Diagnostic) {
 			d.Category = a.Name
 			diags = append(diags, d)
@@ -126,7 +119,6 @@ func (s StaleAllow) String() string {
 // (or do not exist for) the package, which can never suppress anything.
 func AuditAllows(pkgs []*Package, analyzers []Scoped) ([]StaleAllow, error) {
 	var out []StaleAllow
-	prog := NewProgram(pkgs)
 	for _, pkg := range pkgs {
 		if len(pkg.TypeErrors) > 0 {
 			return nil, fmt.Errorf("%s: type checking failed: %v", pkg.ImportPath, pkg.TypeErrors[0])
@@ -137,7 +129,7 @@ func AuditAllows(pkgs []*Package, analyzers []Scoped) ([]StaleAllow, error) {
 			if sc.Applies != nil && !sc.Applies(pkg.ImportPath) {
 				continue
 			}
-			diags, err := runRaw(sc.Analyzer, pkg, prog)
+			diags, err := runRaw(sc.Analyzer, pkg)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %s: %v", pkg.ImportPath, sc.Analyzer.Name, err)
 			}

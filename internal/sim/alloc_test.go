@@ -3,6 +3,7 @@ package sim_test
 import (
 	"testing"
 
+	"divlab/internal/dram"
 	"divlab/internal/sim"
 	"divlab/internal/trace"
 	"divlab/internal/workloads"
@@ -92,15 +93,26 @@ func TestPrefetchIssuePathAllocFree(t *testing.T) {
 	}
 }
 
-// maxRunAllocs is the allocation budget of one whole 100k-instruction
-// single-core run: the result and report bookkeeping around an access loop
-// that allocates nothing.
-const maxRunAllocs = 76
+// Run allocation budgets: the result and report bookkeeping around an access
+// loop that allocates nothing. Each keeps the headroom maxRunAllocs was given
+// over the 67 allocations first measured, about 13%.
+const (
+	// maxRunAllocs covers one 100k-instruction single-core run under tpc
+	// (69 measured).
+	maxRunAllocs = 76
+	// maxMixAllocsNone and maxMixAllocsTPC cover one 4-core mix at 25k
+	// instructions per core, under none (139 measured) and tpc (227
+	// measured) with either drop policy.
+	maxMixAllocsNone = 158
+	maxMixAllocsTPC  = 258
+)
 
-// TestRunAllocBudget holds a 100k-instruction stream.pure run under tpc to
-// maxRunAllocs. The instruction stream is recorded once and replayed, as the
-// engine replays it across an experiment matrix, so the count covers the
-// simulator and not the workload generator.
+// TestRunAllocBudget holds whole runs to their allocation budgets: a
+// 100k-instruction stream.pure run under tpc, and a 4-core mix under none
+// and tpc with each drop policy, which adds the shared L3, the DRAM
+// contention and the multicore scheduler. Instruction streams are recorded
+// once and replayed, as the engine replays them across an experiment matrix,
+// so the counts cover the simulator and not the workload generator.
 func TestRunAllocBudget(t *testing.T) {
 	w, ok := workloads.ByName("stream.pure")
 	if !ok {
@@ -110,11 +122,46 @@ func TestRunAllocBudget(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := sim.DefaultConfig(100_000)
-	rec := sim.Record(w, cfg.Seed, cfg.Insts)
-	n := testing.AllocsPerRun(10, func() { sim.RunSingleOn(rec.Instance(), w, tpc.Factory, cfg) })
-	if n > maxRunAllocs {
-		t.Fatalf("a 100k-instruction run allocates %.0f times, budget %d", n, maxRunAllocs)
+	t.Run("1core", func(t *testing.T) {
+		cfg := sim.DefaultConfig(100_000)
+		rec := sim.Record(w, cfg.Seed, cfg.Insts)
+		n := testing.AllocsPerRun(10, func() { sim.RunSingleOn(rec.Instance(), w, tpc.Factory, cfg) })
+		if n > maxRunAllocs {
+			t.Fatalf("a 100k-instruction run allocates %.0f times, budget %d", n, maxRunAllocs)
+		}
+		t.Logf("%.0f allocations per run (budget %d)", n, maxRunAllocs)
+	})
+
+	mix := workloads.Mixes(1, 3)[0]
+	cfg := sim.DefaultConfig(25_000)
+	cfg.Cores = len(mix.Apps)
+	var recs [len(mix.Apps)]*sim.Recorded
+	for i, app := range mix.Apps {
+		recs[i] = sim.Record(app, sim.MixSeed(cfg, i), cfg.Insts)
 	}
-	t.Logf("%.0f allocations per run (budget %d)", n, maxRunAllocs)
+	for _, pf := range []struct {
+		named  sim.Named
+		budget int
+	}{{sim.Baseline(), maxMixAllocsNone}, {tpc, maxMixAllocsTPC}} {
+		for _, policy := range []struct {
+			name string
+			p    dram.DropPolicy
+		}{{"random", dram.DropRandomPrefetch}, {"lowpri", dram.DropLowPriorityPrefetch}} {
+			cfg := cfg
+			cfg.DropPolicy = policy.p
+			t.Run("4core/"+pf.named.Name+"/"+policy.name, func(t *testing.T) {
+				n := testing.AllocsPerRun(10, func() {
+					insts := make([]workloads.Instance, len(recs))
+					for i, rec := range recs {
+						insts[i] = rec.Instance()
+					}
+					sim.RunMultiOn(insts, mix, pf.named.Factory, cfg)
+				})
+				if n > float64(pf.budget) {
+					t.Fatalf("a 4-core %s run of %s allocates %.0f times, budget %d", pf.named.Name, mix.Name, n, pf.budget)
+				}
+				t.Logf("%.0f allocations per run (budget %d)", n, pf.budget)
+			})
+		}
+	}
 }

@@ -496,12 +496,6 @@ func Monolithic() []Named {
 // TPCFull returns the composite T2+P1+C1 configuration.
 func TPCFull() Named { return MustByName("tpc") }
 
-// TPCIncremental returns T2 alone, T2+P1, and T2+P1+C1 (Fig. 12's
-// component-by-component build-up).
-func TPCIncremental() []Named {
-	return []Named{MustByName("t2"), MustByName("t2+p1"), TPCFull()}
-}
-
 // TPCWith returns TPC composited with an extra existing prefetcher
 // (Sec. IV-E / Fig. 15 "compositing").
 func TPCWith(extra Named) Named {

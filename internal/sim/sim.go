@@ -137,14 +137,6 @@ func (r *Result) PerOwner() map[int]uint64 {
 	return m
 }
 
-// PerOwnerIssued returns the issued prefetch count for one component id.
-func (r *Result) PerOwnerIssued(id int) uint64 {
-	if id < 0 || id >= len(r.perOwner) {
-		return 0
-	}
-	return r.perOwner[id]
-}
-
 // PerOwnerCat returns per-component per-category issued counts, map-shaped
 // (ids with no issues are omitted, matching the historical map accounting).
 func (r *Result) PerOwnerCat() map[int][workloads.NumCategories]uint64 {
@@ -240,7 +232,6 @@ func (r *runner) Access(pc, addr uint64, at uint64, store bool) uint64 {
 		res.L1Misses++
 		res.CatL1Misses[cat]++
 		if r.fp != nil {
-			//lint:allow hotalloc -- optional line-level tracking; nil (never allocated) on the benchmarked path
 			r.fp.missL1[ev.LineAddr]++
 		}
 	}
@@ -251,7 +242,6 @@ func (r *runner) Access(pc, addr uint64, at uint64, store bool) uint64 {
 		res.L2Misses++
 		res.CatL2Misses[cat]++
 		if r.fp != nil {
-			//lint:allow hotalloc -- optional line-level tracking; nil (never allocated) on the benchmarked path
 			r.fp.missL2[ev.LineAddr]++
 		}
 	}
@@ -294,7 +284,6 @@ func (r *runner) drainSink() {
 			dest = r.cfg.DestOverride(req, r.inst.Classify(req.LineAddr))
 		}
 		if r.fp != nil {
-			//lint:allow hotalloc -- optional line-level tracking; nil (never allocated) on the benchmarked path
 			r.fp.attempted[req.LineAddr] |= 1 << res.slot(req.Owner)
 		}
 		if r.hier.Prefetch(req.LineAddr, dest, req.Owner, req.Priority, at) {
@@ -304,7 +293,6 @@ func (r *runner) drainSink() {
 			res.Issued++
 			res.IssuedDest[dest]++
 			if r.fp != nil {
-				//lint:allow hotalloc -- optional line-level tracking; nil (never allocated) on the benchmarked path
 				r.fp.issued[req.LineAddr]++
 			}
 			res.CatIssued[cat]++

@@ -8,7 +8,6 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"time"
@@ -108,19 +107,6 @@ func (s *FS) Len() int {
 		return nil
 	})
 	return n
-}
-
-// Digests enumerates the stored digests in sorted order.
-func (s *FS) Digests() []string {
-	var out []string
-	filepath.WalkDir(filepath.Join(s.root, "objects"), func(path string, d fs.DirEntry, err error) error {
-		if err == nil && !d.IsDir() && strings.HasSuffix(path, ".rec") {
-			out = append(out, strings.TrimSuffix(filepath.Base(path), ".rec"))
-		}
-		return nil
-	})
-	sort.Strings(out)
-	return out
 }
 
 // leaseFile is the on-disk lease content.

@@ -1,8 +1,6 @@
 package tpc
 
 import (
-	"fmt"
-
 	"divlab/internal/mem"
 	"divlab/internal/prefetch"
 	"divlab/internal/trace"
@@ -43,7 +41,6 @@ type P1 struct {
 	pcm        pcTable[p1Flags]
 	chainArena []chainState
 	chainFree  []int32
-	nHandled   int
 	tick       uint64
 }
 
@@ -120,10 +117,7 @@ func (p *P1) freeChain(f *p1Flags) {
 	p.chainArena[f.chain-1] = chainState{}
 	p.chainFree = append(p.chainFree, f.chain)
 	f.chain = 0
-	if f.handled {
-		f.handled = false
-		p.nHandled--
-	}
+	f.handled = false
 }
 
 func (p *P1) findSIT(pc uint64) *p1SIT {
@@ -261,10 +255,7 @@ func (p *P1) observeDependent(j *trace.Inst) {
 				se.ptr = true
 				se.ptrDelta = delta
 				fj := p.pcm.put(j.PC)
-				if !fj.handled {
-					fj.handled = true
-					p.nHandled++
-				}
+				fj.handled = true
 			}
 			p.resetCandidate(false)
 		}
@@ -320,10 +311,7 @@ func (p *P1) endCandidatePass(in *trace.Inst) {
 			if e.conf >= p1ConfirmAt {
 				fi := p.pcm.put(in.PC)
 				fi.chain = p.allocChain(chainState{delta: e.delta, aheadVal: v, haveLast: true, lastVal: v})
-				if !fi.handled {
-					fi.handled = true
-					p.nHandled++
-				}
+				fi.handled = true
 				p.resetCandidate(false)
 			}
 			p.tpu.Arm(in.Dst)
@@ -424,7 +412,6 @@ func (p *P1) Reset() {
 	p.pcm.reset()
 	p.chainArena = p.chainArena[:0]
 	p.chainFree = p.chainFree[:0]
-	p.nHandled = 0
 	p.tick = 0
 }
 
@@ -432,26 +419,4 @@ func (p *P1) Reset() {
 // 1 PtrPC register, an 8-entry SIT, the 64-bit TPU, and 1 Kb of state bits.
 func (p *P1) StorageBits() int {
 	return 48 + p1SITEntries*(32+48+16+3) + 64 + 1024
-}
-
-// DebugString summarizes P1's internal state for diagnostics (table slot
-// order).
-func (p *P1) DebugString() string {
-	s := "chains:"
-	nFailed := 0
-	for i := range p.pcm.ents {
-		e := &p.pcm.ents[i]
-		if !e.used {
-			continue
-		}
-		if e.val.chain != 0 {
-			cs := &p.chainArena[e.val.chain-1]
-			s += fmt.Sprintf(" pc=%x delta=%d depth=%d mismatch=%d", e.pc, cs.delta, cs.depth, cs.mismatch)
-		}
-		if e.val.failed > 0 {
-			nFailed++
-		}
-	}
-	s += fmt.Sprintf(" handled=%d failed=%d candMode=%d", p.nHandled, nFailed, p.candMode)
-	return s
 }

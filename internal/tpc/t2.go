@@ -1,8 +1,6 @@
 package tpc
 
 import (
-	"fmt"
-
 	"divlab/internal/mem"
 	"divlab/internal/prefetch"
 	"divlab/internal/trace"
@@ -68,10 +66,6 @@ type T2 struct {
 
 	// amat is the EWMA of demand latency in 1/64ths of a cycle.
 	amat uint64
-
-	// nHandled counts PCs in stStrided state: a PC is claimed exactly while
-	// strided, so the old handled set is derivable from the state bits.
-	nHandled int
 }
 
 // T2Config exposes the ablation knobs for the design choices Sec. IV-A
@@ -268,7 +262,6 @@ func (t *T2) onMemInst(in *trace.Inst, issue prefetch.Issuer) {
 	case stObserve:
 		if e.sameCnt >= t2StridedAt {
 			*stp = stStrided
-			t.nHandled++
 		} else if e.diffCnt >= t2NonStridedAt {
 			*stp = stNonStrided
 			return
@@ -284,7 +277,6 @@ func (t *T2) onMemInst(in *trace.Inst, issue prefetch.Issuer) {
 		if e.diffCnt >= t2NonStridedAt {
 			// The stream destabilized; fall back to observation.
 			*stp = stObserve
-			t.nHandled--
 			return
 		}
 		if e.sameCnt >= 1 {
@@ -344,7 +336,6 @@ func (t *T2) Reset() {
 	}
 	t.sitHint = [64]uint8{}
 	t.state.reset()
-	t.nHandled = 0
 	t.tick = 0
 	t.amat = 20 << 6
 }
@@ -354,21 +345,4 @@ func (t *T2) Reset() {
 // (1 loop register + NLPCT).
 func (t *T2) StorageBits() int {
 	return t2SITEntries*(32+48+16+5+3) + 2*1024*8 + (2*48 + nlpctEntries*32)
-}
-
-// DebugString summarizes T2's adaptive state for diagnostics.
-func (t *T2) DebugString() string {
-	return fmt.Sprintf("amat=%d titer=%d dist=%d handled=%d", t.amat>>6, t.loop.TIter(), t.Distance(), t.nHandled)
-}
-
-// DebugStates dumps the per-PC instruction states for diagnostics (table
-// slot order).
-func (t *T2) DebugStates() string {
-	s := ""
-	for i := range t.state.ents {
-		if e := &t.state.ents[i]; e.used {
-			s += fmt.Sprintf(" %x:%d", e.pc, e.val)
-		}
-	}
-	return s
 }

@@ -21,9 +21,6 @@ func (t *TaintUnit) Arm(reg trace.Reg) {
 	t.armed = true
 }
 
-// Armed reports whether a propagation pass is in progress.
-func (t *TaintUnit) Armed() bool { return t.armed }
-
 // Disarm stops propagation.
 func (t *TaintUnit) Disarm() { t.armed = false; t.bits = 0 }
 

@@ -84,9 +84,6 @@ func (r *rng) intn(n uint64) uint64 {
 	return r.next() % n
 }
 
-// chance returns true with probability num/den.
-func (r *rng) chance(num, den uint64) bool { return r.intn(den) < num }
-
 // addrRange labels an address interval with its ground-truth category.
 type addrRange struct {
 	lo, hi uint64 // [lo, hi)
