@@ -57,11 +57,13 @@ perfbench:
 	GOWORK=off GOPROXY=off $(GO) -C perfbench test ./...
 
 # fuzz smoke-tests the spec-string grammar (no panics, normalized names are
-# fixed points) and the store's two readers: the record decoder and the
-# result decoder, each held to encoding/json. Each target gets a short
-# budget; CI runs the same.
+# fixed points), the store's two readers (the record decoder and the
+# result decoder, each held to encoding/json) and the MSHR file, held to
+# its positional reference. Each target gets a short budget; CI runs the
+# same.
 fuzz:
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzByName -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzSpecNormalize -fuzztime 10s
 	$(GO) test ./internal/sim -run '^$$' -fuzz FuzzDecodeResults -fuzztime 10s
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecode -fuzztime 10s
+	$(GO) test ./internal/cache -run '^$$' -fuzz FuzzMSHRMatchesReference -fuzztime 10s

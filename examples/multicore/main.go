@@ -18,7 +18,7 @@ func main() {
 
 	cfg := sim.DefaultConfig(150_000)
 	cfg.Cores = 4
-	tpc, _ := sim.ByName("tpc")
+	tpc := sim.MustByName("tpc")
 
 	cfg.DropPolicy = dram.DropRandomPrefetch
 	base := sim.RunMulti(mix, nil, cfg)

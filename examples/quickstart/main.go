@@ -22,7 +22,7 @@ func main() {
 	fmt.Printf("baseline:  IPC=%.3f  L1 MPKI=%.1f  traffic=%d lines\n",
 		base.IPC(), base.MPKI(), base.Traffic)
 
-	tpc, _ := sim.ByName("tpc")
+	tpc := sim.MustByName("tpc")
 	r := sim.RunSingle(w, tpc.Factory, cfg)
 	fmt.Printf("tpc:       IPC=%.3f  L1 MPKI=%.1f  traffic=%d lines\n",
 		r.IPC(), r.MPKI(), r.Traffic)

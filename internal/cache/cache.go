@@ -1,9 +1,12 @@
 // Package cache implements the set-associative caches of the simulated
-// hierarchy: LRU replacement, MSHRs with secondary-miss merging, per-line
-// prefetch tags (owner identity and readiness timestamps for timeliness
-// modelling), and shadow "alternate reality" tag arrays: the demand-only
-// view Sec. V-C of the paper attributes pollution with, used here as the
-// reference model the hierarchy's tests compare against.
+// hierarchy: LRU replacement, MSHR files of up to MaxMSHRs registers with
+// secondary-miss merging, per-line prefetch tags (owner identity and
+// readiness timestamps for timeliness modelling), and shadow "alternate
+// reality" tag arrays: the demand-only view Sec. V-C of the paper
+// attributes pollution with, used here as the reference model the
+// hierarchy's tests compare against. The tests hold Cache and MSHR to naive
+// positional references (TestCacheMatchesReference,
+// TestMSHRMatchesReference).
 package cache
 
 import "fmt"
@@ -21,7 +24,7 @@ type Config struct {
 	Ways int
 	// LatCycles is the hit latency in cycles.
 	LatCycles uint64
-	// MSHRs is the number of outstanding-miss registers.
+	// MSHRs is the number of outstanding-miss registers, at most MaxMSHRs.
 	MSHRs int
 }
 
@@ -40,8 +43,8 @@ func (c Config) Validate() error {
 	if s&(s-1) != 0 {
 		return fmt.Errorf("cache %s: set count %d not a power of two", c.Name, s)
 	}
-	if c.MSHRs <= 0 {
-		return fmt.Errorf("cache %s: MSHRs must be positive", c.Name)
+	if c.MSHRs <= 0 || c.MSHRs > MaxMSHRs {
+		return fmt.Errorf("cache %s: %d MSHRs, want 1 to %d", c.Name, c.MSHRs, MaxMSHRs)
 	}
 	return nil
 }
@@ -99,7 +102,8 @@ type Stats struct {
 //
 // The tag store is laid out struct-of-arrays (parallel slices indexed by
 // set*ways+way) so the tag-match scan of a lookup touches one dense tag
-// array instead of striding over fat per-line structs.
+// array instead of striding over fat per-line structs. Every lookup is one
+// scan of its set's tags; a fill touches tags, meta and readyAt.
 type Cache struct {
 	cfg  Config
 	ways int
@@ -108,17 +112,6 @@ type Cache struct {
 	// separate because it needs the full cycle range.
 	meta    []uint64
 	readyAt []uint64
-	// mru predicts the way of the next hit per set (verified on use, so
-	// staleness is harmless): spatial streams touch the same line for
-	// several consecutive accesses, and the predictor turns those resident
-	// scans into a single tag compare.
-	mru []uint8
-	// absent memoizes proven misses: absent[absentHash(L)] == L means a
-	// full set scan found L not resident, and evictions only remove lines,
-	// so absence persists until a Fill of L clobbers the slot. Miss-heavy
-	// streams (and the prefetch redundancy filter) skip the tag scan
-	// entirely. invalidTag marks empty slots — it can never match a probe.
-	absent  []Line
 	setMask uint64
 	useTick uint64
 	mshr    *MSHR
@@ -137,18 +130,12 @@ func New(cfg Config) *Cache {
 	for i := range tags {
 		tags[i] = invalidTag
 	}
-	absent := make([]Line, 2048)
-	for i := range absent {
-		absent[i] = invalidTag
-	}
 	return &Cache{
 		cfg:     cfg,
 		ways:    cfg.Ways,
 		tags:    tags,
 		meta:    make([]uint64, n),
 		readyAt: make([]uint64, n),
-		mru:     make([]uint8, cfg.Sets()),
-		absent:  absent,
 		setMask: uint64(cfg.Sets() - 1),
 		mshr:    NewMSHR(cfg.MSHRs),
 	}
@@ -178,32 +165,13 @@ type LookupResult struct {
 // find returns the way-store index of lineAddr if resident, else -1. Empty
 // ways hold invalidTag, so the scan is a pure tag comparison.
 func (c *Cache) find(lineAddr Line) int {
-	h := absentHash(lineAddr)
-	if c.absent[h] == lineAddr {
-		return -1
-	}
-	set := int(c.setIndex(lineAddr))
-	base := set * c.ways
-	if w := int(c.mru[set]); c.tags[base+w] == lineAddr {
-		return base + w
-	}
-	tags := c.tags[base : base+c.ways]
-	for i, t := range tags {
+	base := int(c.setIndex(lineAddr)) * c.ways
+	for i, t := range c.tags[base : base+c.ways] {
 		if t == lineAddr {
-			c.mru[set] = uint8(i)
 			return base + i
 		}
 	}
-	c.absent[h] = lineAddr
 	return -1
-}
-
-// absentHash folds the upper line-address bits so strided patterns a
-// power-of-two apart (e.g. a victim writeback trailing the fill front by
-// the cache capacity) do not alias in the absent memo.
-func absentHash(lineAddr Line) uint64 {
-	x := uint64(lineAddr)
-	return (x ^ x>>11) & 2047
 }
 
 // Lookup performs a demand access at cycle `at`. On a hit it updates LRU
@@ -252,9 +220,11 @@ type Eviction struct {
 	Owner      int
 }
 
-// Fill installs lineAddr at cycle `at`, ready at `readyAt`. prefetched marks
-// prefetch-installed lines; owner identifies the issuing component.
-// It returns the eviction, if any.
+// Fill installs lineAddr, ready at `readyAt`, and returns the eviction, if
+// any. prefetched marks prefetch-installed lines; owner identifies the
+// issuing component. The line takes the set's last empty way or, in a full
+// set, the least recently used one (ties go to the lowest way). A refill of
+// a resident line only lowers its readyAt.
 func (c *Cache) Fill(lineAddr Line, readyAt uint64, prefetched bool, owner int) Eviction {
 	base := int(c.setIndex(lineAddr)) * c.ways
 	tags := c.tags[base : base+c.ways]
@@ -269,7 +239,8 @@ func (c *Cache) Fill(lineAddr Line, readyAt uint64, prefetched bool, owner int) 
 	for i, t := range tags {
 		if t == lineAddr {
 			// Refill of a resident line (e.g. prefetch raced a demand
-			// fill): keep the earlier readiness, merge the prefetched mark.
+			// fill): keep the earlier readiness; the flags, owner and LRU
+			// tick stay as they are.
 			if readyAt < c.readyAt[base+i] {
 				c.readyAt[base+i] = readyAt
 			}
@@ -298,8 +269,6 @@ func (c *Cache) Fill(lineAddr Line, readyAt uint64, prefetched bool, owner int) 
 	c.useTick++
 	c.tags[victim] = lineAddr
 	c.readyAt[victim] = readyAt
-	c.mru[base/c.ways] = uint8(victim - base)
-	c.absent[absentHash(lineAddr)] = invalidTag
 	if !prefetched {
 		c.meta[victim] = metaWord(flagValid, NoOwner, c.useTick)
 		c.Stats.DemandFills++
@@ -325,10 +294,6 @@ func (c *Cache) Reset() {
 	}
 	clear(c.meta)
 	clear(c.readyAt)
-	clear(c.mru)
-	for i := range c.absent {
-		c.absent[i] = invalidTag
-	}
 	c.useTick = 0
 	c.mshr.Reset()
 	c.Stats = Stats{}

@@ -31,6 +31,11 @@ func TestConfigValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Error("zero MSHRs must fail")
 	}
+	bad = good
+	bad.MSHRs = MaxMSHRs + 1
+	if bad.Validate() == nil {
+		t.Error("more than MaxMSHRs MSHRs must fail")
+	}
 }
 
 func TestFillThenLookupHits(t *testing.T) {
@@ -131,8 +136,8 @@ func TestTouchRefreshesLRU(t *testing.T) {
 // TestReset: after seeded random operations on a cache and its MSHR file,
 // Reset leaves a value deeply equal to a fresh cache, so a reused cache
 // behaves exactly as a new one. The lines crowd a few sets and collide in
-// mshrHash, and the operations must dirty the MSHR's scan-miss counter and
-// sweep timestamp, or the comparison could not see them.
+// mshrHash, and the operations must dirty the MSHR's scan-miss counter, or
+// the comparison could not see it.
 func TestReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cfg := testConfig()
@@ -144,7 +149,7 @@ func TestReset(t *testing.T) {
 	at := uint64(1)
 	for op := 0; op < 20000 || c.mshr.scanMiss == 0; op++ {
 		if op == 100000 {
-			t.Fatalf("operations left scanMiss=%d lastFreeAt=%d", c.mshr.scanMiss, c.mshr.lastFreeAt)
+			t.Fatal("operations left scanMiss zero")
 		}
 		at += uint64(rng.Intn(4))
 		l := pool[rng.Intn(len(pool))]
@@ -159,14 +164,11 @@ func TestReset(t *testing.T) {
 			c.MarkDirty(l)
 		case 4:
 			if _, pending, adm := c.MSHR().PendingOrNextFree(l, at, at+uint64(rng.Intn(50))); !pending {
-				c.MSHR().Allocate(l, adm, adm+1+uint64(rng.Intn(200)), false)
+				c.MSHR().Allocate(l, adm, adm+1+uint64(rng.Intn(200)))
 			}
 		case 5:
 			c.MSHR().Pending(l, at)
 		}
-	}
-	if c.mshr.lastFreeAt == 0 {
-		t.Fatal("operations left lastFreeAt zero")
 	}
 	c.Reset()
 	if fresh := New(cfg); !reflect.DeepEqual(c, fresh) {
@@ -203,5 +205,177 @@ func TestStatsBalanceProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
+	}
+}
+
+// refWay is one way of refCache, every field stored on its own.
+type refWay struct {
+	line                     Line
+	valid, dirty, prefetched bool
+	owner                    int
+	readyAt, lastUse         uint64
+}
+
+// refCache is the naive cache Cache must be observably equal to: a per-set
+// array of ways searched in order, with a last-use tick per way for LRU.
+type refCache struct {
+	sets  [][]refWay
+	tick  uint64
+	stats Stats
+}
+
+func newRefCache(cfg Config) *refCache {
+	r := &refCache{sets: make([][]refWay, cfg.Sets())}
+	for i := range r.sets {
+		r.sets[i] = make([]refWay, cfg.Ways)
+	}
+	return r
+}
+
+func (r *refCache) set(l Line) []refWay { return r.sets[l.Index()%uint64(len(r.sets))] }
+
+// way returns l's way, or nil when l is not resident.
+func (r *refCache) way(l Line) *refWay {
+	set := r.set(l)
+	for i := range set {
+		if set[i].valid && set[i].line == l {
+			return &set[i]
+		}
+	}
+	return nil
+}
+
+func (r *refCache) lookup(l Line, at uint64) LookupResult {
+	r.stats.Accesses++
+	w := r.way(l)
+	if w == nil {
+		r.stats.Misses++
+		return LookupResult{}
+	}
+	r.stats.Hits++
+	r.tick++
+	w.lastUse = r.tick
+	res := LookupResult{Hit: true, Owner: w.owner}
+	if w.readyAt > at {
+		res.ExtraWait = w.readyAt - at
+	}
+	if w.prefetched {
+		w.prefetched = false
+		res.WasPrefetched = true
+		r.stats.PrefetchHits++
+	}
+	return res
+}
+
+func (r *refCache) touch(l Line) {
+	if w := r.way(l); w != nil {
+		r.tick++
+		w.lastUse = r.tick
+	}
+}
+
+func (r *refCache) markDirty(l Line) {
+	if w := r.way(l); w != nil {
+		w.dirty = true
+	}
+}
+
+// fill installs l in its set's last empty way or, in a full set, the least
+// recently used way, the lowest one on a tie. A refill of a resident line
+// only lowers its readyAt.
+func (r *refCache) fill(l Line, readyAt uint64, prefetched bool, owner int) Eviction {
+	if w := r.way(l); w != nil {
+		w.readyAt = min(w.readyAt, readyAt)
+		return Eviction{}
+	}
+	set := r.set(l)
+	victim := -1
+	for i := range set {
+		if !set[i].valid {
+			victim = i
+		}
+	}
+	if victim < 0 {
+		victim = 0
+		for i := range set {
+			if set[i].lastUse < set[victim].lastUse {
+				victim = i
+			}
+		}
+	}
+	v := &set[victim]
+	var ev Eviction
+	if v.valid {
+		ev = Eviction{Valid: true, LineAddr: v.line, Dirty: v.dirty, Prefetched: v.prefetched, Owner: v.owner}
+		if v.prefetched {
+			r.stats.PrefetchedEvictedUnused++
+		}
+	}
+	r.tick++
+	*v = refWay{line: l, valid: true, prefetched: prefetched, owner: NoOwner, readyAt: readyAt, lastUse: r.tick}
+	if prefetched {
+		v.owner = owner
+		r.stats.PrefetchFills++
+	} else {
+		r.stats.DemandFills++
+	}
+	return ev
+}
+
+// TestCacheMatchesReference drives Cache and refCache with the same seeded
+// operations on small geometries (1 to 16 sets, 1 to 16 ways) and requires
+// equal results after each, and equal Stats. Lines crowd the sets, so fills
+// evict and refill resident lines; lookups run at timestamps that sometimes
+// go backwards; fills are demand or prefetch, with owners.
+func TestCacheMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	seqs := 500
+	if testing.Short() {
+		seqs = 50
+	}
+	for seq := range seqs {
+		sets, ways := 1<<rng.Intn(5), []int{1, 2, 3, 4, 8, 16}[rng.Intn(6)]
+		cfg := Config{Name: "ref", SizeBytes: sets * ways * LineBytes, Ways: ways, LatCycles: 1, MSHRs: 1}
+		c, ref := New(cfg), newRefCache(cfg)
+		pool := make([]Line, sets*ways+1+rng.Intn(2*sets*ways))
+		for i := range pool {
+			pool[i] = LineAt(uint64(rng.Intn(4 * len(pool))))
+		}
+		now := uint64(1000)
+		for op := range 2000 {
+			fail := func(what string, got, want any) {
+				t.Fatalf("sequence %d (%d sets × %d ways), op %d: %s = %+v, reference %+v", seq, sets, ways, op, what, got, want)
+			}
+			now += uint64(rng.Intn(8))
+			if rng.Intn(20) == 0 {
+				now -= min(now, uint64(rng.Intn(300)))
+			}
+			l := pool[rng.Intn(len(pool))]
+			switch rng.Intn(7) {
+			case 0, 1:
+				if got, want := c.Lookup(l, now), ref.lookup(l, now); got != want {
+					fail("Lookup", got, want)
+				}
+			case 2:
+				if got, want := c.Contains(l), ref.way(l) != nil; got != want {
+					fail("Contains", got, want)
+				}
+			case 3:
+				c.Touch(l)
+				ref.touch(l)
+			case 4:
+				c.MarkDirty(l)
+				ref.markDirty(l)
+			default:
+				readyAt := now - min(now, 100) + uint64(rng.Intn(400))
+				pf, owner := rng.Intn(2) == 0, rng.Intn(6)-1
+				if got, want := c.Fill(l, readyAt, pf, owner), ref.fill(l, readyAt, pf, owner); got != want {
+					fail("Fill", got, want)
+				}
+			}
+			if c.Stats != ref.stats {
+				fail("Stats", c.Stats, ref.stats)
+			}
+		}
 	}
 }

@@ -1,13 +1,14 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
 func TestMSHRPendingAndExpiry(t *testing.T) {
 	m := NewMSHR(2)
-	if _, ok := m.Allocate(0x40, 10, 110, false); !ok {
+	if _, ok := m.Allocate(0x40, 10, 110); !ok {
 		t.Fatal("allocate into empty MSHR failed")
 	}
 	if ready, ok := m.Pending(0x40, 50); !ok || ready != 110 {
@@ -21,8 +22,8 @@ func TestMSHRPendingAndExpiry(t *testing.T) {
 
 func TestMSHRFullAndNextFree(t *testing.T) {
 	m := NewMSHR(2)
-	m.Allocate(0x40, 0, 100, false)
-	m.Allocate(0x80, 0, 200, false)
+	m.Allocate(0x40, 0, 100)
+	m.Allocate(0x80, 0, 200)
 	if !m.Full(50) {
 		t.Error("MSHR must be full")
 	}
@@ -39,8 +40,8 @@ func TestMSHRFullAndNextFree(t *testing.T) {
 
 func TestMSHRAllocateWhenFull(t *testing.T) {
 	m := NewMSHR(1)
-	m.Allocate(0x40, 0, 100, false)
-	stallUntil, ok := m.Allocate(0x80, 10, 300, false)
+	m.Allocate(0x40, 0, 100)
+	stallUntil, ok := m.Allocate(0x80, 10, 300)
 	if ok {
 		t.Fatal("allocation into full MSHR must fail")
 	}
@@ -51,30 +52,14 @@ func TestMSHRAllocateWhenFull(t *testing.T) {
 		t.Errorf("FullStalls = %d", m.FullStalls)
 	}
 	// After the entry drains, allocation succeeds.
-	if _, ok := m.Allocate(0x80, 150, 400, false); !ok {
+	if _, ok := m.Allocate(0x80, 150, 400); !ok {
 		t.Error("allocation after drain must succeed")
 	}
 }
 
-func TestMSHROccupancy(t *testing.T) {
-	m := NewMSHR(4)
-	m.Allocate(1*64, 0, 100, false)
-	m.Allocate(2*64, 0, 150, true)
-	if oc := m.Occupancy(50); oc != 2 {
-		t.Errorf("Occupancy = %d", oc)
-	}
-	if oc := m.Occupancy(120); oc != 1 {
-		t.Errorf("Occupancy after one expiry = %d", oc)
-	}
-	m.Reset()
-	if m.Occupancy(0) != 0 || m.Size() != 4 {
-		t.Error("Reset/Size broken")
-	}
-}
-
 // refMSHR is the positional register file MSHR must be observably equal to:
-// every operation scans the registers in index order, with no filter, hint,
-// memo, bitmask or cached free index.
+// every operation scans the registers in index order, with no filter, bound
+// or occupancy word.
 type refMSHR struct {
 	lines      []Line
 	ready      []uint64 // 0 = free
@@ -132,16 +117,93 @@ func (r *refMSHR) allocate(l Line, at, readyAt uint64) (uint64, bool) {
 	return earliest, false
 }
 
-func (r *refMSHR) occupancy(at uint64) int {
-	n := 0
-	for i, rd := range r.ready {
-		if rd != 0 && rd <= at {
-			r.ready[i] = 0
-		} else if rd != 0 {
-			n++
+// An MSHR program is a byte string: a size byte (1 + b%64 registers), then
+// mshrOpBytes per operation. Each operation's bytes are its kind (b%7), a
+// little-endian 24-bit line, a clock byte (b < 128 advances the clock by b,
+// else it goes back by b-128 cycles, stopping at 0), a little-endian 16-bit
+// t2 offset (t2 = at + offset), an admission byte (b%3 picks the claim cycle
+// of an allocation: at, the probe's next-free cycle, or at - b/3) and a
+// little-endian 16-bit latency (readyAt = admission + latency; 0 makes
+// readyAt 0). A trailing partial operation is ignored.
+const mshrOpBytes = 10
+
+// Operation kinds. A miss probes the line and allocates it when nothing is
+// pending, as mem.Hierarchy does; opAllocate allocates without a probe.
+const (
+	opMissPending = iota
+	opMissPendingOrNextFree
+	opPending
+	opPendingOrNextFree
+	opNextFree
+	opFull
+	opAllocate
+	numMSHROps
+)
+
+// runMSHRProgram runs prog on an MSHR and on refMSHR and returns the first
+// difference in a result or in FullStalls, or nil.
+func runMSHRProgram(prog []byte) error {
+	if len(prog) == 0 {
+		return nil
+	}
+	n := 1 + int(prog[0])%MaxMSHRs
+	m := NewMSHR(n)
+	ref := &refMSHR{lines: make([]Line, n), ready: make([]uint64, n)}
+	now := uint64(1000)
+	for op, b := 0, prog[1:]; len(b) >= mshrOpBytes; op, b = op+1, b[mshrOpBytes:] {
+		fail := func(what string, got, want any) error {
+			return fmt.Errorf("%d registers, op %d: %s = %v, reference %v", n, op, what, got, want)
+		}
+		l := Line(b[1]) | Line(b[2])<<8 | Line(b[3])<<16
+		if b[4] < 128 {
+			now += uint64(b[4])
+		} else {
+			now -= min(now, uint64(b[4]-128))
+		}
+		at := now
+		t2 := at + (uint64(b[5]) | uint64(b[6])<<8)
+		lat := uint64(b[8]) | uint64(b[9])<<8
+		pend, nf := false, at
+		switch kind := b[0] % numMSHROps; kind {
+		case opMissPending, opPending:
+			r1, p1 := m.Pending(l, at)
+			if r2, p2 := ref.pending(l, at); r1 != r2 || p1 != p2 {
+				return fail("Pending", []any{r1, p1}, []any{r2, p2})
+			}
+			pend = p1 || kind == opPending
+		case opMissPendingOrNextFree, opPendingOrNextFree:
+			r1, p1, n1 := m.PendingOrNextFree(l, at, t2)
+			if r2, p2, n2 := ref.pendingOrNextFree(l, at, t2); r1 != r2 || p1 != p2 || n1 != n2 {
+				return fail("PendingOrNextFree", []any{r1, p1, n1}, []any{r2, p2, n2})
+			}
+			pend, nf = p1 || kind == opPendingOrNextFree, n1
+		case opNextFree:
+			if got, want := m.NextFree(at), ref.nextFree(at); got != want {
+				return fail("NextFree", got, want)
+			}
+			pend = true
+		case opFull:
+			if got, want := m.Full(at), ref.nextFree(at) > at; got != want {
+				return fail("Full", got, want)
+			}
+			pend = true
+		}
+		if !pend {
+			adm := []uint64{at, nf, at - min(at, uint64(b[7]/3))}[b[7]%3]
+			readyAt := uint64(0)
+			if lat != 0 {
+				readyAt = adm + lat
+			}
+			s1, ok1 := m.Allocate(l, adm, readyAt)
+			if s2, ok2 := ref.allocate(l, adm, readyAt); s1 != s2 || ok1 != ok2 {
+				return fail("Allocate", []any{s1, ok1}, []any{s2, ok2})
+			}
+		}
+		if m.FullStalls != ref.fullStalls {
+			return fail("FullStalls", m.FullStalls, ref.fullStalls)
 		}
 	}
-	return n
+	return nil
 }
 
 // mshrLines builds a line pool for one sequence: lines 1024 apart (the
@@ -167,97 +229,76 @@ func mshrLines(rng *rand.Rand, n int) []Line {
 	return pool
 }
 
-// TestMSHRMatchesReference drives MSHR and refMSHR with the same random
-// operations and requires equal results and equal FullStalls after each.
-// File sizes cross the 64-register bitmask limit and the 255-register hint
-// limit; timestamps sometimes go backwards; allocations follow a
-// not-pending probe of the same line, as mem.Hierarchy's are.
+// mshrProgram draws a program of ops operations: a file of 1 to 64
+// registers, weighting 1, 2, 31, 32, 63 and 64; lines from an mshrLines
+// pool; latencies up to about four per register; a clock that mostly
+// creeps forward and sometimes goes back.
+func mshrProgram(rng *rand.Rand, ops int) []byte {
+	n := 1 + rng.Intn(MaxMSHRs)
+	if rng.Intn(2) == 0 {
+		n = []int{1, 2, 31, 32, 63, 64}[rng.Intn(6)]
+	}
+	pool := mshrLines(rng, n)
+	maxLat, maxStep := 1+rng.Intn(4*n+40), 1+rng.Intn(4)
+	prog := append(make([]byte, 0, 1+ops*mshrOpBytes), byte(n-1))
+	for range ops {
+		l := pool[rng.Intn(len(pool))]
+		step := byte(rng.Intn(maxStep + 1))
+		if rng.Intn(50) == 0 {
+			step = 128 + byte(rng.Intn(101))
+		}
+		var off int
+		if rng.Intn(2) == 0 {
+			off = rng.Intn(maxLat)
+		}
+		// Misses take 3 of 8 draws, split between the two probes; the
+		// other kinds take one each.
+		kind := []byte{opMissPending, opMissPending, opMissPending, opPending,
+			opPendingOrNextFree, opNextFree, opFull, opAllocate}[rng.Intn(8)]
+		if kind == opMissPending && rng.Intn(2) == 0 {
+			kind = opMissPendingOrNextFree
+		}
+		admit := byte(rng.Intn(3) + 3*rng.Intn(21))
+		lat := 1 + rng.Intn(maxLat)
+		if rng.Intn(100) == 0 {
+			lat = 0
+		}
+		prog = append(prog, kind, byte(l), byte(l>>8), byte(l>>16), step,
+			byte(off), byte(off>>8), admit, byte(lat), byte(lat>>8))
+	}
+	return prog
+}
+
+// TestMSHRMatchesReference runs seeded random programs on MSHR and refMSHR
+// and requires equal results and equal FullStalls after each operation.
+// File sizes cover 1 to MaxMSHRs; timestamps sometimes go backwards; most
+// allocations follow a not-pending probe of the same line, as
+// mem.Hierarchy's do, and the rest claim without one.
 func TestMSHRMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	seqs, ops := 3000, 2000
+	seqs := 3000
 	if testing.Short() {
 		seqs = 300
 	}
-	for seq := 0; seq < seqs; seq++ {
-		n := 1 + rng.Intn(70)
-		switch rng.Intn(4) {
-		case 0:
-			n = 1 + rng.Intn(300)
-		case 1:
-			n = []int{63, 64, 65, 254, 255, 256, 300}[rng.Intn(7)]
-		}
-		m := NewMSHR(n)
-		ref := &refMSHR{lines: make([]Line, n), ready: make([]uint64, n)}
-		pool := mshrLines(rng, n)
-		maxLat, maxStep := 1+rng.Intn(4*n+40), 1+rng.Intn(4)
-		now := uint64(1000)
-		fail := func(op int, what string, got, want interface{}) {
-			t.Fatalf("sequence %d (%d registers), op %d: %s = %v, reference %v", seq, n, op, what, got, want)
-		}
-		pending := func(op int, l Line, at uint64) bool {
-			r1, p1 := m.Pending(l, at)
-			if r2, p2 := ref.pending(l, at); r1 != r2 || p1 != p2 {
-				fail(op, "Pending", []interface{}{r1, p1}, []interface{}{r2, p2})
-			}
-			return p1
-		}
-		pendingOrNextFree := func(op int, l Line, at, t2 uint64) (bool, uint64) {
-			r1, p1, n1 := m.PendingOrNextFree(l, at, t2)
-			if r2, p2, n2 := ref.pendingOrNextFree(l, at, t2); r1 != r2 || p1 != p2 || n1 != n2 {
-				fail(op, "PendingOrNextFree", []interface{}{r1, p1, n1}, []interface{}{r2, p2, n2})
-			}
-			return p1, n1
-		}
-		for op := 0; op < ops; op++ {
-			now += uint64(rng.Intn(maxStep + 1))
-			if rng.Intn(50) == 0 {
-				now -= uint64(rng.Intn(int(min(now, 100)) + 1))
-			}
-			at, l := now, pool[rng.Intn(len(pool))]
-			t2 := at
-			if rng.Intn(2) == 0 {
-				t2 += uint64(rng.Intn(maxLat))
-			}
-			switch rng.Intn(8) {
-			case 0, 1, 2: // a miss: probe, then allocate if nothing is pending
-				pend, nf := false, at
-				if rng.Intn(2) == 0 {
-					pend, nf = pendingOrNextFree(op, l, at, t2)
-				} else {
-					pend = pending(op, l, at)
-				}
-				if pend {
-					break
-				}
-				adm := []uint64{at, nf, at - uint64(rng.Intn(int(min(at, 20))+1))}[rng.Intn(3)]
-				readyAt := adm + 1 + uint64(rng.Intn(maxLat))
-				if rng.Intn(100) == 0 {
-					readyAt = 0
-				}
-				s1, ok1 := m.Allocate(l, adm, readyAt, rng.Intn(2) == 0)
-				if s2, ok2 := ref.allocate(l, adm, readyAt); s1 != s2 || ok1 != ok2 {
-					fail(op, "Allocate", []interface{}{s1, ok1}, []interface{}{s2, ok2})
-				}
-			case 3:
-				pending(op, l, at)
-			case 4:
-				pendingOrNextFree(op, l, at, t2)
-			case 5:
-				if got, want := m.NextFree(at), ref.nextFree(at); got != want {
-					fail(op, "NextFree", got, want)
-				}
-			case 6:
-				if got, want := m.Full(at), ref.nextFree(at) > at; got != want {
-					fail(op, "Full", got, want)
-				}
-			case 7:
-				if got, want := m.Occupancy(at), ref.occupancy(at); got != want {
-					fail(op, "Occupancy", got, want)
-				}
-			}
-			if m.FullStalls != ref.fullStalls {
-				fail(op, "FullStalls", m.FullStalls, ref.fullStalls)
-			}
+	for seq := range seqs {
+		if err := runMSHRProgram(mshrProgram(rng, 2000)); err != nil {
+			t.Fatalf("sequence %d: %v", seq, err)
 		}
 	}
+}
+
+// FuzzMSHRMatchesReference runs arbitrary programs (see mshrOpBytes) on
+// MSHR and refMSHR. The corpus starts from eight 50-operation programs
+// drawn as TestMSHRMatchesReference draws its sequences: short inputs keep
+// the fuzzer's minimization of each new input quick.
+func FuzzMSHRMatchesReference(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for range 8 {
+		f.Add(mshrProgram(rng, 50))
+	}
+	f.Fuzz(func(t *testing.T, prog []byte) {
+		if err := runMSHRProgram(prog); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

@@ -131,39 +131,39 @@ type Controller struct {
 	// do not read phantom congestion.
 	now   uint64
 	Stats Stats
-	// Shift/mask routing, precomputed when channels, banks-per-channel and
-	// lines-per-row are all powers of two (they are in the Table I config);
-	// route() is on the path of every DRAM access and the three chained
-	// 64-bit divisions it otherwise needs dominate its cost.
-	pow2Route bool
-	chShift   uint
-	chMask    uint64
-	bankMask  uint64
-	rowShift  uint
+	// Shift/mask routing: NewController refuses geometries whose channel,
+	// bank-per-channel and line-per-row counts are not powers of two.
+	chShift  uint
+	chMask   uint64
+	bankMask uint64
+	rowShift uint
 }
 
 // NewController builds a controller with the given configuration and drop
-// policy. Seed starts the random stream prefetch shedding draws from.
+// policy. Seed starts the random stream prefetch shedding draws from. It
+// panics unless the channel count, the banks per channel (ranks × banks per
+// rank) and the lines per row are positive powers of two, as Table I's are.
 func NewController(cfg Config, policy DropPolicy, seed uint64) *Controller {
 	if cfg.Channels <= 0 || cfg.BanksPerRank <= 0 || cfg.RanksPerChan <= 0 {
 		panic("dram: channels, ranks and banks must be positive")
 	}
-	chans := make([]channel, cfg.Channels)
-	for i := range chans {
-		chans[i].banks = make([]bank, cfg.RanksPerChan*cfg.BanksPerRank)
-	}
-	c := &Controller{cfg: cfg, chans: chans, policy: policy, rng: seed | 1}
 	nch := uint64(cfg.Channels)
 	nb := uint64(cfg.RanksPerChan * cfg.BanksPerRank)
-	lpr := uint64(cfg.RowBytes) / cache.LineBytes
-	if lpr > 0 && nch&(nch-1) == 0 && nb&(nb-1) == 0 && lpr&(lpr-1) == 0 {
-		c.pow2Route = true
-		c.chShift = uint(bits.TrailingZeros64(nch))
-		c.chMask = nch - 1
-		c.bankMask = nb - 1
-		c.rowShift = uint(bits.TrailingZeros64(nb) + bits.TrailingZeros64(lpr))
+	lpr := uint64(max(cfg.RowBytes, 0)) / cache.LineBytes
+	if lpr == 0 || nch&(nch-1) != 0 || nb&(nb-1) != 0 || lpr&(lpr-1) != 0 {
+		panic("dram: channels, banks per channel and lines per row must be powers of two")
 	}
-	return c
+	chans := make([]channel, cfg.Channels)
+	for i := range chans {
+		chans[i].banks = make([]bank, nb)
+	}
+	return &Controller{
+		cfg: cfg, chans: chans, policy: policy, rng: seed | 1,
+		chShift:  uint(bits.TrailingZeros64(nch)),
+		chMask:   nch - 1,
+		bankMask: nb - 1,
+		rowShift: uint(bits.TrailingZeros64(nb) + bits.TrailingZeros64(lpr)),
+	}
 }
 
 func (c *Controller) rand() uint64 {
@@ -174,23 +174,14 @@ func (c *Controller) rand() uint64 {
 	return c.rng
 }
 
+// route maps a line to its channel, bank and row. From the lowest up, the
+// line index's bits pick the channel, the bank, and the line within the
+// row; the bits above are the row.
 func (c *Controller) route(lineAddr cache.Line) (ch *channel, b *bank, row uint64) {
 	lineIdx := lineAddr.Index()
-	if c.pow2Route {
-		ch = &c.chans[lineIdx&c.chMask]
-		perChan := lineIdx >> c.chShift
-		return ch, &ch.banks[perChan&c.bankMask], perChan >> c.rowShift
-	}
-	chIdx := int(lineIdx) & (c.cfg.Channels - 1)
-	if c.cfg.Channels&(c.cfg.Channels-1) != 0 {
-		chIdx = int(lineIdx % uint64(c.cfg.Channels))
-	}
-	ch = &c.chans[chIdx]
-	nb := uint64(len(ch.banks))
-	bIdx := (lineIdx / uint64(c.cfg.Channels)) % nb
-	linesPerRow := uint64(c.cfg.RowBytes) / cache.LineBytes
-	row = lineIdx / uint64(c.cfg.Channels) / nb / linesPerRow
-	return ch, &ch.banks[bIdx], row
+	ch = &c.chans[lineIdx&c.chMask]
+	perChan := lineIdx >> c.chShift
+	return ch, &ch.banks[perChan&c.bankMask], perChan >> c.rowShift
 }
 
 // backlogLines estimates the channel's queued transfer depth at cycle `at`

@@ -120,6 +120,37 @@ func TestChannelRouting(t *testing.T) {
 	}
 }
 
+// TestNewControllerRefusesBadGeometry: NewController accepts Table I's
+// geometry and panics on a non-positive channel, rank or bank count and on
+// a channel, bank-per-channel or line-per-row count that is not a power of
+// two, which route's shifts and masks could not map.
+func TestNewControllerRefusesBadGeometry(t *testing.T) {
+	NewController(DDR3Default(), DropNone, 1)
+	for _, tc := range []struct {
+		name string
+		edit func(*Config)
+	}{
+		{"no channels", func(c *Config) { c.Channels = 0 }},
+		{"no ranks", func(c *Config) { c.RanksPerChan = 0 }},
+		{"negative banks", func(c *Config) { c.BanksPerRank = -8 }},
+		{"3 channels", func(c *Config) { c.Channels = 3 }},
+		{"6 banks per channel", func(c *Config) { c.RanksPerChan, c.BanksPerRank = 2, 3 }},
+		{"3 lines per row", func(c *Config) { c.RowBytes = 3 * cache.LineBytes }},
+		{"row shorter than a line", func(c *Config) { c.RowBytes = cache.LineBytes / 2 }},
+	} {
+		cfg := DDR3Default()
+		tc.edit(&cfg)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: NewController(%+v) did not panic", tc.name, cfg)
+				}
+			}()
+			NewController(cfg, DropNone, 1)
+		}()
+	}
+}
+
 // TestReset: after seeded random traffic under every policy, Reset leaves
 // a controller deeply equal to a fresh one built with the new policy and
 // seed, random stream included, so a reused controller sheds exactly the

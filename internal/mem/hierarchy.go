@@ -232,8 +232,8 @@ func (h *Hierarchy) writeback(from Level, ev cache.Eviction, at uint64) {
 }
 
 // Misses are gated on MSHR availability BEFORE they descend: the request
-// waits until a register frees (the nextFree time the combined
-// PendingOrNextFree sweep reports) and that becomes the admission time.
+// waits until a register frees (the nextFree time PendingOrNextFree
+// reports) and that becomes the admission time.
 // Gating at admission (rather than charging a stall after the fact) is what
 // bounds a core's outstanding misses to its MSHR count, as in hardware; a
 // delayed admission is charged to the cache's FullStalls counter at each
@@ -284,8 +284,8 @@ func (h *Hierarchy) AccessInto(pc, addr uint64, at uint64, store bool, ev *Event
 		return ev.Latency
 	}
 
-	// L1 miss: merge with a pending fetch if one exists. The pending probe
-	// and the MSHR admission gate share one register-file sweep.
+	// L1 miss: merge with a pending fetch if one exists. One call makes the
+	// pending probe and the MSHR admission gate.
 	pendAt, pending, adm := h.L1D.MSHR().PendingOrNextFree(lineAddr, at, at)
 	if pending {
 		ev.Secondary = true
@@ -300,7 +300,7 @@ func (h *Hierarchy) AccessInto(pc, addr uint64, at uint64, store bool, ev *Event
 	}
 	below := h.lookupL2(lineAddr, adm+l1lat, ev)
 	readyAt := adm + l1lat + below
-	h.L1D.MSHR().Allocate(lineAddr, adm, readyAt, false)
+	h.L1D.MSHR().Allocate(lineAddr, adm, readyAt)
 	lat := readyAt - at
 	h.updateMemLat(lat)
 	ev.MemLat = h.memLat >> 6
@@ -338,7 +338,7 @@ func (h *Hierarchy) lookupL2(lineAddr Line, at uint64, ev *Event) uint64 {
 	}
 	below := h.lookupL3(lineAddr, adm+l2lat, false, cache.NoOwner, 0)
 	readyAt := adm + l2lat + below
-	h.L2.MSHR().Allocate(lineAddr, adm, readyAt, false)
+	h.L2.MSHR().Allocate(lineAddr, adm, readyAt)
 	evict := h.L2.Fill(lineAddr, readyAt, false, cache.NoOwner)
 	h.traceEvict(L2, evict, readyAt)
 	h.writeback(L2, evict, readyAt)
@@ -360,7 +360,7 @@ func (h *Hierarchy) lookupL3(lineAddr Line, at uint64, prefetch bool, owner, pri
 		}
 		return l3lat + r.ExtraWait
 	}
-	// One sweep answers both the pending probe and the availability check
+	// One call answers both the pending probe and the availability check
 	// (demand admission gate, or the prefetch shed decision at the monotone
 	// clock).
 	t2 := at
@@ -391,7 +391,7 @@ func (h *Hierarchy) lookupL3(lineAddr Line, at uint64, prefetch bool, owner, pri
 		return dropDRAMSentinel
 	}
 	readyAt := adm + l3lat + dlat
-	l3.MSHR().Allocate(lineAddr, adm, readyAt, prefetch)
+	l3.MSHR().Allocate(lineAddr, adm, readyAt)
 	evict := l3.Fill(lineAddr, readyAt, prefetch && owner != cache.NoOwner, owner)
 	h.traceEvict(L3, evict, readyAt)
 	h.writeback(L3, evict, readyAt)
@@ -554,7 +554,7 @@ func (h *Hierarchy) prefetchIntoL2Path(lineAddr Line, at uint64, owner, priority
 		return below
 	}
 	readyAt := at + l2lat + below
-	h.L2.MSHR().Allocate(lineAddr, at, readyAt, true)
+	h.L2.MSHR().Allocate(lineAddr, at, readyAt)
 	evict := h.L2.Fill(lineAddr, readyAt, true, owner)
 	h.traceEvict(L2, evict, readyAt)
 	h.writeback(L2, evict, readyAt)
@@ -572,7 +572,7 @@ func (h *Hierarchy) prefetchL2(lineAddr Line, at uint64, owner, priority int) ui
 		return below
 	}
 	readyAt := at + l2lat + below
-	h.L2.MSHR().Allocate(lineAddr, at, readyAt, true)
+	h.L2.MSHR().Allocate(lineAddr, at, readyAt)
 	evict := h.L2.Fill(lineAddr, readyAt, true, owner)
 	if h.Trace != nil {
 		h.Trace.Record(obs.FateInstalled, owner, int(L2), lineAddr, at)
