@@ -38,7 +38,7 @@ import (
 	"divlab/internal/analysis/divlint"
 )
 
-const version = "v1.5.0"
+const version = "v1.5.1"
 
 // jsonFinding is the -json wire form of one finding.
 type jsonFinding struct {

@@ -103,8 +103,8 @@ func run() error {
 			e := runner.Default()
 			cacheHits, _ := e.Stats()
 			s := e.StoreStats()
-			fmt.Fprintf(os.Stderr, "store: jobs=%d cache-hits=%d store-hits=%d sims=%d puts=%d errs=%d\n",
-				e.Jobs(), cacheHits, s.Hits, e.Sims(), s.Puts, s.Errs)
+			fmt.Fprintf(os.Stderr, "store: jobs=%d cache-hits=%d store-hits=%d derived=%d sims=%d puts=%d errs=%d\n",
+				e.Jobs(), cacheHits, s.Hits, e.Derived(), e.Sims(), s.Puts, s.Errs)
 		}
 		return err
 	case *workload != "":

@@ -1,9 +1,9 @@
 // Package sinkerr flags discarded errors on the experiment-output paths
 // where a silent failure corrupts or truncates results: report encoding and
-// validation, experiment execution, buffered-writer flushes, flag
-// propagation, and spec-string resolution. A general errcheck would drown
-// the tree in findings; this list is exactly the set of calls whose error is
-// the *product* of the program (the report) rather than incidental I/O.
+// validation, experiment execution, buffered-writer flushes, and spec-string
+// resolution. A general errcheck would drown the tree in findings; this list
+// is exactly the set of calls whose error is the *product* of the program
+// (the report) rather than incidental I/O.
 package sinkerr
 
 import (
@@ -18,7 +18,7 @@ import (
 // Analyzer is the unchecked-sink-error checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "sinkerr",
-	Doc:  "errors on report/sink/flag paths must be checked",
+	Doc:  "errors on report/sink paths must be checked",
 	Run:  run,
 }
 
@@ -34,9 +34,6 @@ var mustCheck = map[string]bool{
 	"(*divlab/internal/obs.Report).Validate": true,
 	"(*text/tabwriter.Writer).Flush":         true,
 	"(*bufio.Writer).Flush":                  true,
-	"(*flag.FlagSet).Parse":                  true,
-	"flag.Set":                               true,
-	"(*flag.FlagSet).Set":                    true,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {

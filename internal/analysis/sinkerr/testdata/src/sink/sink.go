@@ -3,9 +3,7 @@
 package sink
 
 import (
-	"flag"
 	"io"
-	"os"
 	"text/tabwriter"
 
 	"divlab/internal/exp"
@@ -37,14 +35,6 @@ func flush(tw *tabwriter.Writer) error {
 	tw.Flush()       // want "result of Flush is discarded"
 	defer tw.Flush() // want "result of Flush is discarded"
 	return tw.Flush()
-}
-
-func flags(fs *flag.FlagSet, args []string) {
-	fs.Parse(args) // want "result of Parse is discarded"
-	if err := fs.Parse(args); err != nil {
-		os.Exit(2)
-	}
-	flag.Set("x", "y") // want "result of Set is discarded"
 }
 
 func experiments(s *exp.Sink, o exp.Options) {

@@ -57,8 +57,10 @@ type DropPolicy uint8
 const (
 	// DropNone is the zero value (sim.Config's default) and, despite its
 	// name, sheds prefetches exactly as DropRandomPrefetch does: Access
-	// treats the two alike, and every pinned result depends on that.
-	// Demands are never shed under any policy.
+	// treats the two alike, and every pinned result depends on that. The
+	// run cache relies on it too: internal/runner answers a run under one
+	// of the two from the same run under the other (TestDropNoneShedsLikeRandom
+	// holds the equivalence). Demands are never shed under any policy.
 	DropNone DropPolicy = iota
 	// DropRandomPrefetch sheds a prefetch when the channel backlog reaches
 	// a threshold jittered by the seeded random stream, so which prefetch

@@ -192,3 +192,40 @@ func TestDeterministicRandomDrop(t *testing.T) {
 		t.Error("same seed must drop deterministically")
 	}
 }
+
+// TestDropNoneShedsLikeRandom: under one seeded request stream, whose
+// timestamps sometimes go backwards, DropNone and DropRandomPrefetch return
+// the same latencies, shed the same prefetches and count the same Stats.
+// The runner answers a run under one policy from the same run under the
+// other, so a change that sets them apart must fail here, by name.
+func TestDropNoneShedsLikeRandom(t *testing.T) {
+	none := NewController(DDR3Default(), DropNone, 7)
+	random := NewController(DDR3Default(), DropRandomPrefetch, 7)
+	rng := rand.New(rand.NewSource(3))
+	at := uint64(1000)
+	for i := 0; i < 20_000; i++ {
+		if rng.Intn(16) == 0 {
+			at -= min(at, uint64(rng.Intn(300)))
+		} else {
+			at += uint64(rng.Intn(8))
+		}
+		r := Request{
+			LineAddr: cache.LineAt(uint64(rng.Intn(1 << 14))),
+			Write:    rng.Intn(8) == 0,
+			Prefetch: rng.Intn(2) == 0,
+			Owner:    rng.Intn(4),
+			Priority: rng.Intn(4),
+		}
+		ln, dn := none.Access(r, at)
+		lr, dr := random.Access(r, at)
+		if ln != lr || dn != dr {
+			t.Fatalf("request %d %+v at %d: DropNone gives latency %d dropped %t, DropRandomPrefetch %d %t", i, r, at, ln, dn, lr, dr)
+		}
+	}
+	if none.Stats != random.Stats {
+		t.Errorf("stats differ: DropNone %+v, DropRandomPrefetch %+v", none.Stats, random.Stats)
+	}
+	if none.Stats.DroppedPrefetches == 0 {
+		t.Error("the stream never shed a prefetch")
+	}
+}

@@ -2,11 +2,14 @@ package exp_test
 
 import (
 	"bytes"
+	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"divlab/internal/exp"
+	"divlab/internal/obs"
 	"divlab/internal/runner"
 )
 
@@ -26,6 +29,12 @@ import (
 // regenerated golden means stored results are stale: bump
 // runner.DigestVersion and sweep.DigestVersion and re-pin the file's hash
 // (runner's TestDigestVersionsPinBehaviour fails until then).
+//
+// The text rounds to three decimals, so the same run also goes through a
+// structured sink, and its divlab.exp/v1 reports, encoded by
+// obs.EncodeReports and compacted, must equal
+// testdata/quick_all.golden.json: every bit of every value is pinned.
+// Regenerate and re-pin it together with the text golden.
 func TestRunAllMatchesSeedGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("quick suite still simulates millions of instructions")
@@ -37,9 +46,11 @@ func TestRunAllMatchesSeedGolden(t *testing.T) {
 	var got bytes.Buffer
 	o := exp.QuickOptions()
 	o.Engine = runner.New() // private cache: the golden run shares no state
-	if err := exp.RunAll(exp.TextSink(&got), o); err != nil {
+	sink := exp.NewSink(&got, true)
+	if err := exp.RunAll(sink, o); err != nil {
 		t.Fatal(err)
 	}
+	checkStructuredGolden(t, sink.Reports)
 	if !bytes.Equal(got.Bytes(), want) {
 		diffAt := len(want)
 		for i := 0; i < len(want) && i < got.Len(); i++ {
@@ -66,4 +77,61 @@ func TestRunAllMatchesSeedGolden(t *testing.T) {
 		t.Fatalf("quick -exp all output diverged from the seed simulator at byte %d\nwant ...%q...\ngot  ...%q...",
 			diffAt, ctx(want), ctx(got.Bytes()))
 	}
+}
+
+// checkStructuredGolden compares the compacted obs.EncodeReports encoding of
+// reports with testdata/quick_all.golden.json and names the first row or
+// aggregate that differs.
+func checkStructuredGolden(t *testing.T, reports []*obs.Report) {
+	t.Helper()
+	const path = "testdata/quick_all.golden.json"
+	want, err := os.ReadFile(filepath.FromSlash(path))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var enc, got bytes.Buffer
+	if err := obs.EncodeReports(&enc, reports); err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Compact(&got, enc.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	got.WriteByte('\n')
+	if bytes.Equal(got.Bytes(), want) {
+		return
+	}
+	wantReports, err := obs.DecodeReports(want)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	t.Errorf("structured report diverged from %s: %s", path, firstRowDiff(wantReports, reports))
+}
+
+// firstRowDiff describes the first row or aggregate, in report order, that
+// differs between want and got.
+func firstRowDiff(want, got []*obs.Report) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d reports, want %d", len(got), len(want))
+	}
+	for i, g := range got {
+		w := want[i]
+		for _, part := range []struct {
+			kind string
+			g, w []obs.Row
+		}{{"row", g.Rows, w.Rows}, {"aggregate", g.Aggregates, w.Aggregates}} {
+			for j := range max(len(part.g), len(part.w)) {
+				var gr, wr obs.Row
+				if j < len(part.g) {
+					gr = part.g[j]
+				}
+				if j < len(part.w) {
+					wr = part.w[j]
+				}
+				if gr != wr {
+					return fmt.Sprintf("%s %s %d is %+v, want %+v", g.Experiment, part.kind, j, gr, wr)
+				}
+			}
+		}
+	}
+	return "every row and aggregate is equal; a report header or lifecycle block differs"
 }

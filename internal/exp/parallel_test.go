@@ -68,3 +68,34 @@ func TestSmallExperimentsParallel(t *testing.T) {
 		}
 	}
 }
+
+// TestFig8AfterFig1UsesTwins: fig1's footprint matrix (21 SPEC apps under
+// none, AMPM, BOP and SMS) holds the twins of 84 of fig8's 189 footprint-free
+// runs, so on one engine fig8 after fig1 simulates only the other 105, and
+// its report is byte-identical to fig8 run alone.
+func TestFig8AfterFig1UsesTwins(t *testing.T) {
+	o := tinyOptions()
+	var alone, after bytes.Buffer
+	o.Engine = runner.New(runner.WithWorkers(2))
+	if err := Run("fig8", TextSink(&alone), o); err != nil {
+		t.Fatal(err)
+	}
+	if sims := o.Engine.Sims(); sims != 189 {
+		t.Fatalf("fig8 alone simulated %d runs, want 189", sims)
+	}
+
+	o.Engine = runner.New(runner.WithWorkers(2))
+	if err := Run("fig1", TextSink(new(bytes.Buffer)), o); err != nil {
+		t.Fatal(err)
+	}
+	before := o.Engine.Sims()
+	if err := Run("fig8", TextSink(&after), o); err != nil {
+		t.Fatal(err)
+	}
+	if sims, derived := o.Engine.Sims()-before, o.Engine.Derived(); sims != 105 || derived != 84 {
+		t.Errorf("fig8 after fig1 simulated %d runs and derived %d, want 105 and 84", sims, derived)
+	}
+	if !bytes.Equal(after.Bytes(), alone.Bytes()) {
+		t.Errorf("fig8 after fig1 differs from fig8 alone:\n--- alone ---\n%s\n--- after fig1 ---\n%s", alone.String(), after.String())
+	}
+}

@@ -13,7 +13,8 @@ import (
 // populates the store; a second engine sharing only that store must answer
 // every job from it — zero simulations — and render a byte-identical report.
 // This is what licenses the read-through tier to ever short-circuit a
-// simulation.
+// simulation. Jobs the cold engine answered from a twin count: fig8 alone
+// over the cold store must not simulate either.
 func TestRunAllWarmStoreByteIdentical(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the quick suite twice")
@@ -29,6 +30,17 @@ func TestRunAllWarmStoreByteIdentical(t *testing.T) {
 	coldEngine := o.Engine
 	if s := coldEngine.StoreStats(); s.Puts == 0 || s.Errs != 0 {
 		t.Fatalf("cold run store stats %+v: expected persists and no errors", s)
+	}
+
+	// Every fig8 key is footprint-free, and the cold run answered most of
+	// them from footprint twins in the figures registered before fig8
+	// instead of simulating them: derived results must be stored too.
+	o.Engine = runner.New(runner.WithStore(st))
+	if err := exp.Run("fig8", exp.TextSink(new(bytes.Buffer)), o); err != nil {
+		t.Fatal(err)
+	}
+	if sims := o.Engine.Sims(); sims != 0 {
+		t.Errorf("fig8 over the cold store executed %d simulations, want 0", sims)
 	}
 
 	var warm bytes.Buffer

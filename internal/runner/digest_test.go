@@ -23,6 +23,7 @@ const (
 
 var behaviourPins = []struct{ path, sha256 string }{
 	{"../exp/testdata/quick_all.golden", "ea0174976886bad68d158aaf83af0da7ee4f44618957436be65804f304a31e36"},
+	{"../exp/testdata/quick_all.golden.json", "b65dda0b3d05a0dd2e15cb7e59ad5d7636344506672a40b0d141cee8f2a79ed0"},
 	{"../sim/testdata/footprint.golden.json", "27191d578eac92ff6b103dea17943edd580a81a672f49dc611a653b8f3f6b5ae"},
 	{"../../perfbench/digests.json", "d6873f1e4cfebc82dc9157d8378def6e2b38b893adc68ba8a165aed4b0a20d8a"},
 }

@@ -2,8 +2,11 @@
 // that fans out independent simulations across GOMAXPROCS goroutines behind
 // one entry point — Engine.Run(ctx, jobs) — plus a two-tier result cache.
 // The in-process memo tier guarantees the same (workload, prefetcher,
-// config) point is simulated exactly once per process no matter how many
-// experiments ask for it; an optional persistent tier (SetStore) extends
+// config) point is simulated once, or answered from its twin, per process
+// no matter how many experiments ask for it. A twin is a memoized key whose
+// results are the point's own exactly (see twins): the same run with
+// footprints collected, or under the other of two drop policies the DRAM
+// controller treats alike. An optional persistent tier (SetStore) extends
 // that guarantee across processes, answering repeat points from disk by
 // their Key.Digest content address. Every simulation is a pure function of
 // its key — workload instances and per-run state are built fresh inside sim,
@@ -73,8 +76,9 @@ type Key struct {
 	Params  coreKey
 }
 
-// entry is one cache slot. The first claimant simulates and closes done;
-// later claimants block on done and read the filled results.
+// entry is one cache slot. The first claimant fills it (from the store, a
+// twin or a simulation) and closes done; later claimants block on done and
+// read the filled results.
 type entry struct {
 	done chan struct{}
 	rs   []*sim.Result
@@ -103,9 +107,10 @@ type Engine struct {
 	recs     map[recKey]*recEntry
 	recBytes int64
 
-	hits   atomic.Uint64
-	misses atomic.Uint64
-	skips  atomic.Uint64 // uncacheable runs
+	hits    atomic.Uint64
+	misses  atomic.Uint64
+	skips   atomic.Uint64 // uncacheable runs
+	derived atomic.Uint64 // jobs answered from a twin's results
 
 	storeHits atomic.Uint64
 	storePuts atomic.Uint64
@@ -360,9 +365,77 @@ func (e *Engine) claim(k Key) (ent *entry, owner bool) {
 	return ent, true
 }
 
+// twins lists, best first, the keys whose results are k's own exactly. Two
+// key fields can differ between twins:
+//   - Footprint. A footprint run's accumulator is only written while it
+//     simulates, so its results are the footprint-free run's plus the four
+//     per-line columns (see derive).
+//   - Drop, between dram.DropNone and dram.DropRandomPrefetch, which the
+//     DRAM controller treats alike (see dram.DropNone).
+//
+// Every twin collects footprints where k does not, or has DropNone where k
+// has DropRandomPrefetch. So a key that collects footprints under any other
+// policy than DropRandomPrefetch has no twins, and waiting on a twin never
+// closes a cycle.
+func twins(k Key) []Key {
+	var out []Key
+	if !k.Footprint {
+		t := k
+		t.Footprint = true
+		out = append(out, t)
+	}
+	if k.Drop == dram.DropRandomPrefetch {
+		t := k
+		t.Drop = dram.DropNone
+		out = append(out, t)
+		if !k.Footprint {
+			t.Footprint = true
+			out = append(out, t)
+		}
+	}
+	return out
+}
+
+// fromTwin answers k from the first of its twins that is memoized, waiting
+// for it if it is still being simulated (its owner never waits on k; see
+// twins). It reports false when no twin has results.
+func (e *Engine) fromTwin(k Key) ([]*sim.Result, bool) {
+	for _, t := range twins(k) {
+		e.mu.Lock()
+		ent, ok := e.cache[t]
+		e.mu.Unlock()
+		if !ok {
+			continue
+		}
+		<-ent.done
+		if ent.rs != nil {
+			return derive(ent.rs, k.Footprint), true
+		}
+	}
+	return nil, false
+}
+
+// derive returns shallow copies of a twin's results, with the footprint
+// columns zeroed unless footprint is set, as a run that does not collect
+// them leaves them. The copies share the twin's read-only slices and maps.
+func derive(rs []*sim.Result, footprint bool) []*sim.Result {
+	out := make([]*sim.Result, len(rs))
+	for i, r := range rs {
+		c := *r
+		if !footprint {
+			c.MissL1Lines, c.MissL2Lines = sim.Footprint{}, sim.Footprint{}
+			c.Attempted, c.IssuedLines = sim.Footprint{}, sim.Footprint{}
+		}
+		out[i] = &c
+	}
+	return out
+}
+
 // runJob executes one job through the cache tiers — memo, then store, then
-// simulation — and returns its Job.Results() results. The slice and its
-// results are shared — read-only.
+// twin, then simulation — and returns its Job.Results() results. The slice
+// and its results are shared — read-only. The store comes before the twin,
+// so a warm store answers every key it holds, and derived results are put
+// to the store as simulated ones are, so every stored key stands alone.
 func (e *Engine) runJob(m *sim.Machine, j Job) []*sim.Result {
 	k, cacheable := KeyOf(j)
 	if !cacheable {
@@ -381,6 +454,14 @@ func (e *Engine) runJob(m *sim.Machine, j Job) []*sim.Result {
 	if rs, ok := e.storeGet(k, j.Results()); ok {
 		ent.rs = rs
 		close(ent.done)
+		e.jobDone(true)
+		return ent.rs
+	}
+	if rs, ok := e.fromTwin(k); ok {
+		e.derived.Add(1)
+		ent.rs = rs
+		close(ent.done)
+		e.storePut(k, ent.rs)
 		e.jobDone(true)
 		return ent.rs
 	}

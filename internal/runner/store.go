@@ -10,10 +10,10 @@ import (
 // The persistent tier. When a store is attached, the engine becomes
 // read-through/write-behind around it: a cache-missing cacheable job first
 // consults the store (hit → decode and return, zero simulation), and a
-// simulated result is persisted after waiters are released. Traced runs
-// (Key.Trace) never touch the store — a Lifecycle is an in-process object
-// graph that does not serialize — and uncacheable jobs bypass it exactly as
-// they bypass the memo cache.
+// simulated or twin-derived result is persisted after waiters are released.
+// Traced runs (Key.Trace) never touch the store — a Lifecycle is an
+// in-process object graph that does not serialize — and uncacheable jobs
+// bypass it exactly as they bypass the memo cache.
 //
 // Store errors are never fatal to a run: a corrupt or unreadable record
 // counts in StoreStats.Errs and falls back to simulation (the next Put
@@ -24,7 +24,8 @@ import (
 type StoreStats struct {
 	// Hits are jobs answered from the store without simulating.
 	Hits uint64
-	// Puts are freshly simulated results persisted to the store.
+	// Puts are freshly simulated or twin-derived results persisted to the
+	// store.
 	Puts uint64
 	// Errs are store operations that failed (corrupt record, mismatched
 	// envelope, undecodable payload, write failure). Each was absorbed by
@@ -53,12 +54,16 @@ func (e *Engine) StoreStats() StoreStats {
 }
 
 // Sims reports the number of simulations actually executed (cache misses
-// plus uncacheable runs; store hits excluded).
+// plus uncacheable runs; store hits and derived jobs excluded).
 func (e *Engine) Sims() uint64 { return e.misses.Load() + e.skips.Load() }
+
+// Derived reports the number of jobs answered from a twin's results (see
+// twins) instead of simulated.
+func (e *Engine) Derived() uint64 { return e.derived.Load() }
 
 // Jobs reports the total number of jobs the engine has completed.
 func (e *Engine) Jobs() uint64 {
-	return e.hits.Load() + e.misses.Load() + e.skips.Load() + e.storeHits.Load()
+	return e.hits.Load() + e.misses.Load() + e.skips.Load() + e.storeHits.Load() + e.derived.Load()
 }
 
 func (e *Engine) getStore() store.Store {
@@ -101,7 +106,7 @@ func (e *Engine) storeGet(k Key, want int) ([]*sim.Result, bool) {
 	return rs, true
 }
 
-// storePut persists freshly simulated results under k. Called after the
+// storePut persists simulated or derived results under k. Called after the
 // cache entry's done channel is closed, so in-process waiters never block on
 // disk I/O.
 func (e *Engine) storePut(k Key, rs []*sim.Result) {
